@@ -30,6 +30,7 @@ from .factorization import (
     DoubleFactorization,
     FullRankFactorization,
     factorization_from_dict,
+    finite_json,
     reconstruct_tensor,
     save_factorization,
 )
@@ -66,7 +67,10 @@ def _stage(name: str, exc: HamfactorError) -> HamfactorError:
 
 
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=1)
+    try:
+        text = finite_json(payload, indent=1)
+    except NumericalError as exc:
+        raise _stage("write-output", exc)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
@@ -208,11 +212,13 @@ def cmd_factorize(args) -> int:
             },
         )
         if args.trace and trace is not None:
+            lines = [finite_json(row.to_dict()) + "\n" for row in trace]
             with open(args.trace, "w") as fh:
-                for row in trace:
-                    fh.write(json.dumps(row.to_dict()) + "\n")
+                fh.writelines(lines)
     except OSError as exc:
         raise ValidationError(f"[write-output] {exc}")
+    except NumericalError as exc:
+        raise _stage("write-output", exc)
     _emit({"summary": summary, "output": output, "config": config}, None)
     return 0
 

@@ -13,7 +13,13 @@ von-Burg norm plateaus:
 The unconstrained variant keeps full symmetric cores V^t: its V-step is an
 exact linear least-squares solve (ridge-regularized for a quadratic penalty,
 subgradient L-BFGS for an L1 penalty), the U-step is the same generator-space
-L-BFGS.
+L-BFGS. The exact solves run in symmetry-reduced coordinates (packed
+symmetric cores against packed 8-fold symmetric tensors): an isometric
+restriction of the N⁴ x T·N² Kronecker design with the same solution and
+1/10 (N = 7) to 1/16 (large N) of its entries. Each full-rank objective
+evaluation forms the residual Δ = g − Σ_t C^t V^t C^t^T once, as one GEMM
+over the stacked design blocks C^t, and reads the cost and either gradient
+from it with batched matmuls.
 
 All gradients are analytic; the generator-space gradient pulls the U-space
 gradient back through the Fréchet derivative of the matrix exponential
@@ -162,12 +168,52 @@ def _design_blocks(u: np.ndarray) -> np.ndarray:
     return np.einsum("tpk,tqk->tpqk", u, u).reshape(t, n * n, n)
 
 
-def _cdf_residual(gmat: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    c = _design_blocks(u)
-    recon = np.zeros_like(gmat)
-    for t in range(u.shape[0]):
-        recon += c[t] @ v[t] @ c[t].T
-    return gmat - recon
+def _side_by_side(blocks: np.ndarray) -> np.ndarray:
+    """Stack (T, N², N) leaf blocks column-wise into one N² x T·N matrix."""
+    t, nn, n = blocks.shape
+    return blocks.transpose(1, 0, 2).reshape(nn, t * n)
+
+
+def _cdf_residual(gmat: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Δ = g − Σ_t C^t V^t C^t^T as one GEMM over the stacked design blocks."""
+    return gmat - _side_by_side(c @ v) @ _side_by_side(c).T
+
+
+def _penalty(v: np.ndarray, rho: float, gamma: int) -> float:
+    return rho * float(np.sum(np.abs(v) ** gamma)) if rho else 0.0
+
+
+def _cdf_objective(
+    gmat: np.ndarray, c: np.ndarray, v: np.ndarray, rho: float, gamma: int
+) -> tuple[float, float, np.ndarray]:
+    """(cost, residual cost, Y) from one residual Δ, with Y^t = Δ C^t per leaf.
+
+    Both gradients follow from Y by batched matmuls: ∂/∂V^t = −C^t^T Y^t
+    (``_grad_v``) and ∂/∂U^t = −4 Σ_q [Y^t V^t^T]_(pq)k U^t_qk (``_grad_u``).
+    """
+    t, nn, n = c.shape
+    delta = _cdf_residual(gmat, c, v)
+    residual = 0.5 * float(np.sum(delta * delta))
+    y = (delta @ _side_by_side(c)).reshape(nn, t, n).transpose(1, 0, 2)
+    return residual + _penalty(v, rho, gamma), residual, y
+
+
+def _grad_v(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return -(c.transpose(0, 2, 1) @ y)
+
+
+def _grad_u(u: np.ndarray, v: np.ndarray, y: np.ndarray) -> np.ndarray:
+    t, n, _ = u.shape
+    z = (y @ v.transpose(0, 2, 1)).reshape(t, n, n, n)
+    return -4.0 * np.einsum("tpqk,tqk->tpk", z, u)
+
+
+def _cdf_cost_and_grad_u(
+    gmat: np.ndarray, u: np.ndarray, v: np.ndarray, rho: float, gamma: int
+) -> tuple[float, np.ndarray]:
+    """Full-rank cost and its U-space gradient (the penalty is U-free)."""
+    cost, _, y = _cdf_objective(gmat, _design_blocks(u), v, rho, gamma)
+    return cost, _grad_u(u, v, y)
 
 
 def cost_cdf(
@@ -178,25 +224,19 @@ def cost_cdf(
     gamma: int = 1,
 ) -> float:
     """Full-rank cost ½‖g − Σ_t C^t V^t C^t^T‖²_F + ρ Σ |V^t_kl|^γ."""
-    delta = _cdf_residual(g.as_matrix(), u, v)
-    cost = 0.5 * float(np.sum(delta * delta))
-    if rho:
-        cost += rho * float(np.sum(np.abs(v) ** gamma))
-    return cost
+    delta = _cdf_residual(g.as_matrix(), _design_blocks(u), v)
+    return 0.5 * float(np.sum(delta * delta)) + _penalty(v, rho, gamma)
 
 
 def grad_cdf_v(g: TwoElectronTensor, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """∂(residual cost)/∂V^t_kl = −[C^t^T Δ C^t]_kl."""
-    delta = _cdf_residual(g.as_matrix(), u, v)
     c = _design_blocks(u)
-    return -np.stack([c[t].T @ delta @ c[t] for t in range(u.shape[0])])
+    return _grad_v(c, _cdf_objective(g.as_matrix(), c, v, 0.0, 1)[2])
 
 
 def grad_cdf_u(g: TwoElectronTensor, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """∂(residual cost)/∂U^t_pk = −4 Σ_qrsl Δ_pqrs U_qk V_kl U_rl U_sl."""
-    n = g.n_orbitals
-    delta4 = _cdf_residual(g.as_matrix(), u, v).reshape(n, n, n, n)
-    return -4.0 * np.einsum("pqrs,tqk,tkl,trl,tsl->tpk", delta4, u, v, u, u, optimize=True)
+    return _cdf_cost_and_grad_u(g.as_matrix(), u, v, 0.0, 1)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +398,7 @@ class TraceRow:
     cost: float
     residual_cost: float
     penalty: float
-    lambda_two_body: float
+    lambda_two_body: float | None  # None for full-rank cores, which have no rank-1 norm
     grad_norm: float
 
     def to_dict(self) -> dict:
@@ -492,6 +532,43 @@ def optimize_scdf(
     return best[1], best[2]
 
 
+def _packing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Isometric packing of an n x n symmetric matrix M.
+
+    Returns the upper-triangle indices (i ≤ j) and the weights w (1 on, √2
+    off the diagonal) for which the vector w·M[i, j] has M's Frobenius norm.
+    """
+    i, j = np.triu_indices(n)
+    return i, j, np.where(i == j, 1.0, np.sqrt(2.0))
+
+
+def _reduced_v_design(gmat: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The V-step least squares restricted to symmetric cores and symmetric tensors.
+
+    Rows are the isometric packing of 8-fold symmetric N⁴ tensors: pair rows
+    p ≤ q weighted √2 off the diagonal, then the upper triangle of pair x
+    pair, again weighted √2 off the diagonal. Columns are the orthonormal
+    symmetric cores per leaf, k ≤ l, i.e. (C⊗C)(e_k e_l^T + e_l e_k^T)/√2 off
+    the diagonal. Returns (design, packed g), M(M+1)/2 x T·N(N+1)/2 with
+    M = N(N+1)/2.
+    """
+    t, _, n = c.shape
+    # one packing serves the orbital pairs (p, q) of the rows and the core
+    # entries (k, l) of the columns
+    i, j, w = _packing(n)
+    pair = i * n + j
+    pr, rs, w_rows = _packing(len(pair))
+    packed = c[:, pair, :] * w[:, None]
+    design = np.empty((len(pr), t, len(i)))
+    for leaf, ct in enumerate(packed):
+        left, right = ct[pr], ct[rs]
+        design[:, leaf] = left[:, i] * right[:, j] + left[:, j] * right[:, i]
+    design *= 0.5 * w
+    design *= w_rows[:, None, None]
+    gpacked = gmat[np.ix_(pair, pair)] * np.outer(w, w)
+    return design.reshape(len(pr), -1), gpacked[pr, rs] * w_rows
+
+
 def solve_v_step(
     g: TwoElectronTensor,
     u: np.ndarray,
@@ -505,6 +582,17 @@ def solve_v_step(
     ρ = 0: exact least squares (minimum-norm when underdetermined).
     ρ > 0, γ = 2: ridge normal equations.
     ρ > 0, γ = 1: subgradient L-BFGS started from v0.
+
+    The two exact solves work in the symmetry-reduced coordinates of
+    ``_reduced_v_design``, not on the N⁴ x T·N² Kronecker design
+    [C^1⊗C^1 … C^T⊗C^T]. Symmetric cores map into the 8-fold symmetric
+    subspace and antisymmetric ones into its orthogonal complement, where g
+    has no component, so the minimum-norm (and the ridge) solution has no
+    antisymmetric part: both packings are isometries, and the reduced least
+    squares, minimum norm and ridge problems are the full ones. The largest
+    singular value lies in the symmetric block (Perron–Frobenius on the
+    nonnegative Gram matrix), so ``rcond`` = eps·max(N⁴, T·N²) keeps the
+    full design's absolute cutoff.
     """
     t, n, _ = u.shape
     gmat = g.as_matrix()
@@ -516,21 +604,22 @@ def solve_v_step(
         def objective(vflat: np.ndarray):
             v = vflat.reshape(t, n, n)
             v = 0.5 * (v + v.transpose(0, 2, 1))
-            cost = cost_cdf(g, u, v, rho, 1)
-            grad = grad_cdf_v(g, u, v) + rho * np.sign(v)
-            return cost, grad.ravel()
+            cost, _, y = _cdf_objective(gmat, c, v, rho, 1)
+            return cost, (_grad_v(c, y) + rho * np.sign(v)).ravel()
 
         out = _lbfgs(objective, v0.ravel(), config).reshape(t, n, n)
         return 0.5 * (out + out.transpose(0, 2, 1))
-    a = np.hstack([np.kron(c[i], c[i]) for i in range(t)])
-    y = gmat.ravel()
+    a, y = _reduced_v_design(gmat, c)
     if rho:
-        ata = a.T @ a + 2.0 * rho * np.eye(a.shape[1])
-        sol = np.linalg.solve(ata, a.T @ y)
+        sol = np.linalg.solve(a.T @ a + 2.0 * rho * np.eye(a.shape[1]), a.T @ y)
     else:
-        sol, *_ = np.linalg.lstsq(a, y, rcond=None)
-    v = sol.reshape(t, n, n)
-    return 0.5 * (v + v.transpose(0, 2, 1))
+        rcond = np.finfo(float).eps * max(n**4, t * n * n)
+        sol, *_ = np.linalg.lstsq(a, y, rcond=rcond)
+    k, l, w_core = _packing(n)
+    v = np.zeros((t, n, n))
+    v[:, k, l] = sol.reshape(t, -1) / w_core
+    v[:, l, k] = v[:, k, l]
+    return v
 
 
 def optimize_cdf(
@@ -547,6 +636,7 @@ def optimize_cdf(
     if n_df < 1:
         raise ValidationError("n_df must be >= 1")
     n = g.n_orbitals
+    gmat = g.as_matrix()
     rho, gamma = config.rho, config.gamma
     x, w = _init_state(g, n_df, config, config.rng_seed)
     u = _expm_stack(x)
@@ -554,9 +644,8 @@ def optimize_cdf(
 
     def x_objective(xflat: np.ndarray):
         eig = _eig_generators(_flat_to_x(xflat, n_df, n))
-        umat = _rotations(eig)
-        cost = cost_cdf(g, umat, v, rho, gamma)
-        return cost, _x_to_flat(_pull_back(eig, grad_cdf_u(g, umat, v)))
+        cost, grad_u = _cdf_cost_and_grad_u(gmat, _rotations(eig), v, rho, gamma)
+        return cost, _x_to_flat(_pull_back(eig, grad_u))
 
     trace: list[TraceRow] = []
     prev_cost = np.inf
@@ -565,11 +654,11 @@ def optimize_cdf(
         x = _flat_to_x(_lbfgs(x_objective, _x_to_flat(x), config), n_df, n)
         u = _expm_stack(x)
         _check_orthogonal(u, outer)
-        cost = cost_cdf(g, u, v, rho, gamma)
+        c = _design_blocks(u)
+        cost, residual, y = _cdf_objective(gmat, c, v, rho, gamma)
         _check_finite(cost, outer)
-        residual = cost_cdf(g, u, v, 0.0, gamma)
-        grad_norm = float(np.max(np.abs(grad_cdf_v(g, u, v))))
-        trace.append(TraceRow(outer, cost, residual, cost - residual, float("nan"), grad_norm))
+        grad_norm = float(np.max(np.abs(_grad_v(c, y))))
+        trace.append(TraceRow(outer, cost, residual, cost - residual, None, grad_norm))
         if prev_cost - cost < 1e-10 * max(1.0, abs(cost)):
             break
         prev_cost = cost

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .tensors import TwoElectronTensor, _freeze
 
 METHOD_TAGS = ("XDF", "CDF", "RCDF", "SCDF")
@@ -206,15 +206,27 @@ def factorization_from_dict(data: dict) -> DoubleFactorization | FullRankFactori
         raise ValidationError(f"malformed factorization record: {exc}") from exc
 
 
+def finite_json(payload, indent: int | None = None) -> str:
+    """Strict JSON text of ``payload``.
+
+    NaN and ±inf have no JSON spelling, so a payload holding one raises
+    NumericalError instead of producing a file other tools cannot parse.
+    """
+    try:
+        return json.dumps(payload, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"output holds a non-finite number ({exc})") from exc
+
+
 def save_factorization(
     path: str,
     fact: DoubleFactorization | FullRankFactorization,
     config: dict | None = None,
     extras: dict | None = None,
 ) -> None:
+    text = finite_json(factorization_to_dict(fact, config, extras), indent=1)
     with open(path, "w") as fh:
-        json.dump(factorization_to_dict(fact, config, extras), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_factorization(path: str) -> DoubleFactorization | FullRankFactorization:

@@ -18,6 +18,7 @@ repulsion energy.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -112,6 +113,8 @@ def parse_fcidump(path: str) -> tuple[TwoElectronTensor, np.ndarray, float, dict
             i, j, k, l = (int(p) for p in parts[1:])
         except ValueError:
             raise FcidumpParseError(f"unparseable record {stripped!r}", idx + 1)
+        if not math.isfinite(value):
+            raise FcidumpParseError(f"non-finite value in record {stripped!r}", idx + 1)
         for label, index in (("i", i), ("j", j), ("k", k), ("l", l)):
             if index < 0 or index > norb:
                 raise FcidumpParseError(

@@ -31,11 +31,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def check_two_electron_symmetry(g: np.ndarray, tol: float = SYMMETRY_TOL) -> float:
     """Return the maximum deviation of g from its 8-fold symmetry images.
 
-    Raises ValidationError if the deviation exceeds ``tol``.
+    Raises ValidationError if g holds a non-finite entry (which every
+    deviation test would let through, since max(0.0, nan) is 0.0) or if the
+    deviation exceeds ``tol``.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 4 or len(set(g.shape)) != 1:
         raise ValidationError(f"two-electron tensor must be N^4, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValidationError("two-electron tensor has non-finite entries")
     dev = 0.0
     for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
         dev = max(dev, float(np.max(np.abs(g - g.transpose(perm)))))
@@ -100,12 +104,17 @@ class OneBodyTensors:
 def derive_one_body(h: np.ndarray, g: TwoElectronTensor, e_nuc: float = 0.0) -> OneBodyTensors:
     """Reduce (h, g, e_nuc) to the effective one-body data used downstream.
 
-    Raises ValidationError if h is not symmetric within 1e-10 or shapes disagree.
+    Raises ValidationError if h or e_nuc is not finite, h is not symmetric
+    within 1e-10 or shapes disagree.
     """
     h = np.asarray(h, dtype=float)
     n = g.n_orbitals
     if h.shape != (n, n):
         raise ValidationError(f"one-body matrix shape {h.shape} does not match N={n}")
+    if not np.all(np.isfinite(h)):
+        raise ValidationError("one-body matrix has non-finite entries")
+    if not np.isfinite(e_nuc):
+        raise ValidationError(f"nuclear repulsion energy {e_nuc} is not finite")
     if np.max(np.abs(h - h.T)) > SYMMETRY_TOL:
         raise ValidationError("one-body matrix is not symmetric within 1e-10")
     k = h - 0.5 * np.einsum("prrq->pq", g.g)

@@ -7,6 +7,7 @@ import pytest
 
 import hamfactor as hf
 from hamfactor.cli import main
+from hamfactor.errors import NumericalError
 
 from conftest import data_path, make_instance
 
@@ -91,6 +92,35 @@ def test_factorize_scdf_writes_trace(tmp_path, capsys):
     assert rows[0]["outer"] == 1
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_factorize_cdf_writes_strict_json(tmp_path, capsys):
+    dump = tmp_path / "inst.fcidump"
+    assert run(capsys, *synth_args(dump, n=3))[0] == 0
+    trace = tmp_path / "trace.jsonl"
+    record = tmp_path / "f.json"
+    code, _ = run(
+        capsys,
+        "factorize", str(dump),
+        "--method", "cdf", "--ndf", "4", "--max-outer", "2",
+        "--output", str(record), "--trace", str(trace),
+    )
+    assert code == 0
+    rows = [json.loads(line, parse_constant=_reject_constant) for line in trace.read_text().splitlines()]
+    assert rows and all(row["lambda_two_body"] is None for row in rows)
+    json.loads(record.read_text(), parse_constant=_reject_constant)
+
+
+def test_non_finite_record_is_a_numerical_error(tmp_path, small_instance):
+    g, _ = small_instance
+    fact = hf.explicit_factorization(g, 4).with_one_body_shift(float("nan"))
+    with pytest.raises(NumericalError, match="non-finite"):
+        hf.save_factorization(str(tmp_path / "f.json"), fact)
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_shift_method_reports_nonzero_shift(tmp_path, capsys):
     dump = tmp_path / "inst.fcidump"
     assert run(capsys, *synth_args(dump))[0] == 0
@@ -112,6 +142,25 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     code = main(["factorize", str(dump), "--method", "xdf", "--ndf", "4X"])
     assert code == 2
     assert "--ndf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["one_body_inf", "two_body_nan"])
+def test_exit_code_2_on_non_finite_integrals(tmp_path, capsys, where):
+    g, _ = make_instance(3, seed=5)
+    h = np.diag(np.linspace(-2.0, -1.0, 3))
+    if where == "one_body_inf":
+        h[0, 0] = np.inf
+    dump = tmp_path / "bad.fcidump"
+    hf.write_fcidump(str(dump), g, h, 0.0, nelec=3)
+    if where == "two_body_nan":
+        lines = dump.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if "&END" in line) + 1
+        lines[first] = " ".join(["nan"] + lines[first].split()[1:])
+        dump.write_text("\n".join(lines) + "\n")
+    code = main(["factorize", str(dump), "--method", "xdf"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "read-input" in err and "non-finite" in err
 
 
 def test_exit_code_3_on_indefinite_tensor(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 import hamfactor as hf
 from hamfactor.dfopt import (
+    _cdf_cost_and_grad_u,
     _expm_stack,
     _flat_to_x,
     _grad_to_generator,
@@ -206,6 +207,94 @@ def test_cdf_gradients_match_fd():
     analytic_u = grad_cdf_u(g, u, v)
     fd_u = central_fd(lambda uv: hf.cost_cdf(g, uv, v), u)
     assert rel_err(analytic_u, fd_u) < 1e-6
+
+
+def _reference_design(u):
+    t, n, _ = u.shape
+    return np.einsum("tpk,tqk->tpqk", u, u).reshape(t, n * n, n)
+
+
+def _reference_residual(gmat, u, v):
+    """Per-leaf loop Δ = g − Σ_t C^t V^t C^t^T."""
+    c = _reference_design(u)
+    recon = np.zeros_like(gmat)
+    for t in range(u.shape[0]):
+        recon += c[t] @ v[t] @ c[t].T
+    return gmat - recon
+
+
+def _reference_grad_u(gmat, u, v):
+    n = u.shape[1]
+    delta4 = _reference_residual(gmat, u, v).reshape(n, n, n, n)
+    return -4.0 * np.einsum("pqrs,tqk,tkl,trl,tsl->tpk", delta4, u, v, u, u, optimize=True)
+
+
+def _reference_grad_v(gmat, u, v):
+    delta = _reference_residual(gmat, u, v)
+    c = _reference_design(u)
+    return -np.stack([c[t].T @ delta @ c[t] for t in range(u.shape[0])])
+
+
+def _reference_v_step(gmat, u, rho):
+    """Dense Kronecker design [C^1⊗C^1 … C^T⊗C^T], solved as least squares or ridge."""
+    t, n, _ = u.shape
+    c = _reference_design(u)
+    a = np.hstack([np.kron(c[i], c[i]) for i in range(t)])
+    y = gmat.ravel()
+    if rho:
+        sol = np.linalg.solve(a.T @ a + 2.0 * rho * np.eye(a.shape[1]), a.T @ y)
+    else:
+        sol, *_ = np.linalg.lstsq(a, y, rcond=None)
+    v = sol.reshape(t, n, n)
+    return 0.5 * (v + v.transpose(0, 2, 1))
+
+
+def _random_rotations(rng, t, n):
+    return _expm_stack(_antisymmetric_stack(rng, t, n, 0.5))
+
+
+def _random_cores(rng, t, n):
+    v = rng.standard_normal((t, n, n))
+    return 0.5 * (v + v.transpose(0, 2, 1))
+
+
+# the reduced V-step has M(M+1)/2 rows and T·M columns, M = N(N+1)/2, so it
+# turns underdetermined past T = (M+1)/2: 8 at N=5, 11 at N=6. The ridge
+# normal equations have condition ~ σ_max²/2ρ (the designs share the
+# direction vec(I) = Σ_k C^t_k, so T−1 directions are null); ρ = 0.1 keeps the
+# reference's own roundoff near 1e-14.
+@pytest.mark.parametrize("rho", [0.0, 0.1])
+@pytest.mark.parametrize("n, t", [(5, 4), (5, 12), (6, 5), (6, 14)])
+def test_full_rank_kernels_match_reference_formulas(n, t, rho):
+    g, _ = make_instance(n, seed=40 + n)
+    gmat = g.as_matrix()
+    rng = np.random.default_rng(100 * n + t)
+    u = _random_rotations(rng, t, n)
+    v = _random_cores(rng, t, n)
+
+    delta = _reference_residual(gmat, u, v)
+    cost_ref = 0.5 * np.sum(delta * delta) + rho * np.sum(v**2)
+    assert hf.cost_cdf(g, u, v, rho, 2) == pytest.approx(cost_ref, rel=1e-12)
+    cost, grad_u = _cdf_cost_and_grad_u(gmat, u, v, rho, 2)
+    assert cost == pytest.approx(cost_ref, rel=1e-12)
+    assert rel_err(grad_u, _reference_grad_u(gmat, u, v)) < 1e-12
+    assert rel_err(grad_cdf_u(g, u, v), _reference_grad_u(gmat, u, v)) < 1e-12
+    assert rel_err(grad_cdf_v(g, u, v), _reference_grad_v(gmat, u, v)) < 1e-12
+
+    v_ref = _reference_v_step(gmat, u, rho)
+    assert rel_err(hf.solve_v_step(g, u, rho=rho, gamma=2), v_ref) < 1e-12
+
+
+def test_v_step_reconstructs_random_rotation_instance_at_n10():
+    n, t = 10, 40
+    rng = np.random.default_rng(41)
+    u = _random_rotations(rng, t, n)
+    v_true = _random_cores(rng, t, n) / n
+    c = _reference_design(u)
+    recon = sum(c[i] @ v_true[i] @ c[i].T for i in range(t))
+    g = hf.TwoElectronTensor(recon.reshape(n, n, n, n))
+    v = hf.solve_v_step(g, u, rho=0.0)
+    assert hf.cost_cdf(g, u, v) < 1e-20
 
 
 def test_v_step_reaches_stationarity():

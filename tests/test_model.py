@@ -62,6 +62,24 @@ def test_derive_one_body_rejects_asymmetric_h(small_instance):
         hf.derive_one_body(h, g)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_two_electron_tensor_rejects_non_finite(bad):
+    g = np.zeros((3, 3, 3, 3))
+    g[1, 1, 1, 1] = bad  # its own symmetry image: only a finiteness check sees it
+    with pytest.raises(ValidationError, match="non-finite"):
+        hf.TwoElectronTensor(g)
+
+
+def test_derive_one_body_rejects_non_finite(small_instance):
+    g, _ = small_instance
+    h = np.zeros((4, 4))
+    h[2, 2] = np.inf  # h - h.T is NaN there, which the symmetry test lets through
+    with pytest.raises(ValidationError, match="non-finite"):
+        hf.derive_one_body(h, g)
+    with pytest.raises(ValidationError, match="not finite"):
+        hf.derive_one_body(np.zeros((4, 4)), g, e_nuc=np.nan)
+
+
 def test_fcidump_round_trip(tmp_path, small_instance):
     g, _ = small_instance
     rng = np.random.default_rng(0)
