@@ -62,7 +62,6 @@ from .dfopt import (
     grad_scdf_w,
     grad_scdf_x,
     optimize_cdf,
-    optimize_rcdf,
     optimize_scdf,
     solve_v_step,
 )
@@ -147,7 +146,6 @@ __all__ = [
     "one_body_shift",
     "optimal_k",
     "optimize_cdf",
-    "optimize_rcdf",
     "optimize_scdf",
     "parse_fcidump",
     "qrom_cost",

@@ -8,18 +8,14 @@
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure. Every output
 embeds the resolved configuration; nothing depends on wall-clock time, so
-identical flags and seeds give identical files. HAMFACTOR_THREADS caps the
-sweep's parallelism (default 1).
+identical flags and seeds give identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -27,10 +23,11 @@ import numpy as np
 from .dfopt import OptimizerConfig, optimize_cdf, optimize_scdf
 from .errors import HamfactorError, NumericalError, ValidationError
 from .factorization import (
-    DoubleFactorization,
     FullRankFactorization,
     factorization_from_dict,
+    finite_array,
     finite_json,
+    read_record,
     reconstruct_tensor,
     save_factorization,
 )
@@ -140,8 +137,7 @@ def _core_rank(v: np.ndarray, delta: float) -> int:
 
 
 def _summarize(fact, g, one_body) -> dict:
-    recon = fact.reconstruct() if isinstance(fact, FullRankFactorization) else reconstruct_tensor(fact)
-    error = frobenius_error(g, recon)
+    error = frobenius_error(g, reconstruct_tensor(fact))
     if isinstance(fact, FullRankFactorization):
         ranks = [_core_rank(v, fact.thresholds.delta_df) for v in fact.cores]
         return {
@@ -223,29 +219,28 @@ def cmd_factorize(args) -> int:
     return 0
 
 
-def _load_fact_with_eigs(fact_path: str, fcidump: str | None):
+def _read_fact(path: str):
+    """(raw record dict, parsed factorization) of a saved record."""
     try:
-        with open(fact_path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"[read-input] cannot read factorization file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"[read-input] {fact_path} is not valid JSON: {exc}")
-    fact = factorization_from_dict(data)
-    if fcidump:
-        _, one_body, _ = _load_problem(fcidump)
-        eigs = one_body.f_eigs
+        data = read_record(path)
+        return data, factorization_from_dict(data)
+    except HamfactorError as exc:
+        raise _stage("read-input", exc)
+
+
+def cmd_resources(args) -> int:
+    data, fact = _read_fact(args.fact)
+    if args.fcidump:
+        eigs = _load_problem(args.fcidump)[1].f_eigs
     elif "one_body_eigs" in data:
-        eigs = np.asarray(data["one_body_eigs"], dtype=float)
+        try:
+            eigs = finite_array(data["one_body_eigs"], "one_body_eigs")
+        except ValidationError as exc:
+            raise _stage("read-input", exc)
     else:
         raise ValidationError(
             "[read-input] factorization file lacks one-body data; pass --fcidump"
         )
-    return fact, eigs
-
-
-def cmd_resources(args) -> int:
-    fact, eigs = _load_fact_with_eigs(args.fact, args.fcidump)
     if args.kr != "auto":
         try:
             k_r = int(args.kr)
@@ -278,19 +273,13 @@ def cmd_resources(args) -> int:
 
 def cmd_verify(args) -> int:
     g, one_body, metadata = _load_problem(args.fcidump)
-    try:
-        with open(args.fact) as fh:
-            fact = factorization_from_dict(json.load(fh))
-    except OSError as exc:
-        raise ValidationError(f"[read-input] cannot read factorization file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"[read-input] {args.fact} is not valid JSON: {exc}")
-    recon = fact.reconstruct() if isinstance(fact, FullRankFactorization) else reconstruct_tensor(fact)
+    _, fact = _read_fact(args.fact)
+    error = frobenius_error(g, reconstruct_tensor(fact))
     gnorm = float(np.linalg.norm(g.g))
     report: dict = {
         "method": fact.method_tag,
-        "frobenius_error": frobenius_error(g, recon),
-        "relative_frobenius_error": frobenius_error(g, recon) / gnorm if gnorm else 0.0,
+        "frobenius_error": error,
+        "relative_frobenius_error": error / gnorm if gnorm else 0.0,
     }
     if args.fci:
         if isinstance(fact, FullRankFactorization):
@@ -350,14 +339,14 @@ def _fit_loglog(sizes, values) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    def run_one(path: str) -> list[dict]:
+    points = []
+    for path in args.inputs:
         g, one_body, _ = _load_problem(path)
-        rows = []
         for method in args.method:
             n_df = _parse_ndf(args.ndf, g.n_orbitals)
             fact, _ = _run_method(g, one_body, method, n_df, args)
             est = estimate(fact, one_body, CostModelConfig(epsilon=args.eps))
-            rows.append(
+            points.append(
                 {
                     "input": path,
                     "method": method,
@@ -367,15 +356,6 @@ def cmd_sweep(args) -> int:
                     "logical_qubits": est.logical_qubits,
                 }
             )
-        return rows
-
-    workers = max(int(os.environ.get("HAMFACTOR_THREADS", "1")), 1)
-    if workers > 1 and len(args.inputs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(run_one, args.inputs))
-    else:
-        nested = [run_one(path) for path in args.inputs]
-    points = [row for rows in nested for row in rows]
 
     fits = {}
     for method in args.method:

@@ -43,7 +43,8 @@ from scipy.optimize import minimize
 
 from .errors import OptimizationError, ValidationError
 from .factorization import DoubleFactorization, FullRankFactorization, Thresholds
-from .shift import apply_alpha_threshold, signed_split
+from .norms import two_body_burg_norm
+from .shift import apply_alpha_threshold
 from .tensors import TwoElectronTensor
 from .xdf import first_factorization, second_factorization, truncate_factors
 
@@ -357,12 +358,20 @@ def _median_alpha(w: np.ndarray) -> np.ndarray:
     return np.median(products, axis=1)
 
 
-def _two_body_burg(w: np.ndarray, alpha: np.ndarray) -> float:
-    total = 0.0
-    for wt, at in zip(w, alpha):
-        for v, _s in signed_split(wt, float(at), 1):
-            total += 0.25 * float(np.sum(np.abs(v))) ** 2
-    return total
+def _scdf_record(
+    u: np.ndarray, w: np.ndarray, alpha: np.ndarray, thresholds: Thresholds = Thresholds()
+) -> DoubleFactorization:
+    """Rank-1 record of the SCDF iterate, one positive leaf per (U^t, W^t, α^t)."""
+    return DoubleFactorization(
+        n_orbitals=u.shape[1],
+        method_tag="SCDF",
+        rotations=tuple(u),
+        factors=tuple(w),
+        shifts=tuple(float(a) for a in alpha),
+        signs=tuple(1 for _ in w),
+        leaf_ranks=tuple(int(np.count_nonzero(wt)) for wt in w),
+        thresholds=thresholds,
+    )
 
 
 def _init_state(
@@ -454,7 +463,8 @@ def _scdf_single(
         _check_finite(cost, outer)
         delta, _ = _residual(gmat, u, w)
         residual_cost = 0.5 * float(np.sum(delta * delta))
-        lam2 = _two_body_burg(w, alpha)
+        # the default thresholds keep δ_DF = 0: the norm of the untruncated iterate
+        lam2 = two_body_burg_norm(_scdf_record(u, w, alpha))
         # From an XDF seed the norm falls monotonically, so an uptick means
         # the surrogate cost has decoupled from the norm and further cycles
         # just churn: keep the previous iterate. A random seed must first
@@ -484,15 +494,8 @@ def _scdf_single(
     keep = [t for t in range(n_df) if np.any(w_final[t]) or abs(alpha[t]) >= config.delta_alpha]
     if not keep:
         raise OptimizationError("every leaf truncated away; lower delta_df", iteration=len(trace))
-    fact = DoubleFactorization(
-        n_orbitals=n,
-        method_tag="SCDF",
-        rotations=tuple(u[t] for t in keep),
-        factors=tuple(w_final[t] for t in keep),
-        shifts=tuple(float(alpha[t]) for t in keep),
-        signs=tuple(1 for _ in keep),
-        leaf_ranks=tuple(int(np.count_nonzero(w_final[t])) for t in keep),
-        thresholds=Thresholds(config.delta_df, config.delta_alpha, rho),
+    fact = _scdf_record(
+        u[keep], w_final[keep], alpha[keep], Thresholds(config.delta_df, config.delta_alpha, rho)
     )
     return apply_alpha_threshold(fact, config.delta_alpha), trace
 
@@ -659,7 +662,10 @@ def optimize_cdf(
         _check_finite(cost, outer)
         grad_norm = float(np.max(np.abs(_grad_v(c, y))))
         trace.append(TraceRow(outer, cost, residual, cost - residual, None, grad_norm))
-        if prev_cost - cost < 1e-10 * max(1.0, abs(cost)):
+        # the cost is >= 0, so once it is below the tolerance no later
+        # iteration can improve it by more
+        tol = 1e-10 * max(1.0, abs(cost))
+        if cost < tol or prev_cost - cost < tol:
             break
         prev_cost = cost
 
@@ -672,9 +678,3 @@ def optimize_cdf(
     )
     return fact, trace
 
-
-def optimize_rcdf(
-    g: TwoElectronTensor, n_df: int, config: OptimizerConfig = OptimizerConfig()
-) -> tuple[FullRankFactorization, list[TraceRow]]:
-    """Regularized full-rank variant; literally optimize_cdf (ρ = 0 recovers it)."""
-    return optimize_cdf(g, n_df, config)

@@ -60,6 +60,8 @@ class DoubleFactorization:
         for u, w in zip(rot, fac):
             if u.shape != (n, n) or w.shape != (n,):
                 raise ValidationError("each leaf needs an N x N rotation and length-N factors")
+        if any(s not in (1, -1) for s in self.signs):
+            raise ValidationError("each leaf sign must be +1 or -1")
         object.__setattr__(self, "rotations", rot)
         object.__setattr__(self, "factors", fac)
         object.__setattr__(self, "shifts", tuple(float(a) for a in self.shifts))
@@ -90,13 +92,15 @@ class DoubleFactorization:
         return replace(self, a1_prime=float(a1_prime))
 
 
-def reconstruct_tensor(fact: DoubleFactorization) -> TwoElectronTensor:
+def reconstruct_tensor(fact: DoubleFactorization | FullRankFactorization) -> TwoElectronTensor:
     """Reassemble the approximation to the original two-electron tensor.
 
     Inverts the factorization conventions: the leaf sum approximates the
     pre-shifted tensor, so the global a2_prime * δ_pq δ_rs is added back;
     per-leaf encoding shifts never enter the reconstruction.
     """
+    if isinstance(fact, FullRankFactorization):
+        return fact.reconstruct()
     n = fact.n_orbitals
     g = np.zeros((n, n, n, n))
     if fact.n_leaves:
@@ -122,8 +126,15 @@ class FullRankFactorization:
     a1_prime: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "rotations", tuple(_freeze(u) for u in self.rotations))
-        object.__setattr__(self, "cores", tuple(_freeze(v) for v in self.cores))
+        n = self.n_orbitals
+        rot = tuple(_freeze(u) for u in self.rotations)
+        cores = tuple(_freeze(v) for v in self.cores)
+        if len(rot) != len(cores):
+            raise ValidationError("per-leaf field lengths disagree")
+        if any(a.shape != (n, n) for a in rot + cores):
+            raise ValidationError("each leaf needs an N x N rotation and an N x N core")
+        object.__setattr__(self, "rotations", rot)
+        object.__setattr__(self, "cores", cores)
 
     @property
     def n_leaves(self) -> int:
@@ -171,38 +182,44 @@ def factorization_to_dict(
     return out
 
 
+def finite_array(value, field: str) -> np.ndarray:
+    """A record field as floats; a non-numeric, ragged or non-finite one is invalid."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {field} in factorization record: {exc}") from exc
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(f"non-finite {field} in factorization record")
+    return out
+
+
 def factorization_from_dict(data: dict) -> DoubleFactorization | FullRankFactorization:
+    """Parse a record; a missing, malformed or non-finite field is a ValidationError."""
     try:
         leaves = data["leaves"]
         thr = data.get("thresholds", {})
-        thresholds = Thresholds(
-            delta_df=float(thr.get("delta_df", 0.0)),
-            delta_alpha=float(thr.get("delta_alpha", 0.0)),
-            rho=float(thr.get("rho", 0.0)),
-        )
+        fields = ("delta_df", "delta_alpha", "rho")
+        thresholds = Thresholds(**{k: float(finite_array(thr.get(k, 0.0), k)) for k in fields})
         kind = data.get("kind", "full_rank" if leaves and "V" in leaves[0] else "rank1")
-        if kind == "full_rank":
-            return FullRankFactorization(
-                n_orbitals=int(data["n_orbitals"]),
-                method_tag=str(data["method"]),
-                rotations=tuple(np.asarray(leaf["U"], dtype=float) for leaf in leaves),
-                cores=tuple(np.asarray(leaf["V"], dtype=float) for leaf in leaves),
-                thresholds=thresholds,
-                a1_prime=float(data.get("a1_prime", 0.0)),
-            )
-        return DoubleFactorization(
+        common = dict(
             n_orbitals=int(data["n_orbitals"]),
             method_tag=str(data["method"]),
-            rotations=tuple(np.asarray(leaf["U"], dtype=float) for leaf in leaves),
-            factors=tuple(np.asarray(leaf["W"], dtype=float) for leaf in leaves),
-            shifts=tuple(float(leaf.get("alpha", 0.0)) for leaf in leaves),
+            rotations=tuple(finite_array(leaf["U"], "U") for leaf in leaves),
+            thresholds=thresholds,
+            a1_prime=float(finite_array(data.get("a1_prime", 0.0), "a1_prime")),
+        )
+        if kind == "full_rank":
+            cores = tuple(finite_array(leaf["V"], "V") for leaf in leaves)
+            return FullRankFactorization(**common, cores=cores)
+        return DoubleFactorization(
+            **common,
+            factors=tuple(finite_array(leaf["W"], "W") for leaf in leaves),
+            shifts=tuple(float(finite_array(leaf.get("alpha", 0.0), "alpha")) for leaf in leaves),
             signs=tuple(int(leaf.get("sign", 1)) for leaf in leaves),
             leaf_ranks=tuple(int(leaf["xi"]) for leaf in leaves),
-            a1_prime=float(data.get("a1_prime", 0.0)),
-            a2_prime=float(data.get("a2_prime", 0.0)),
-            thresholds=thresholds,
+            a2_prime=float(finite_array(data.get("a2_prime", 0.0), "a2_prime")),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed factorization record: {exc}") from exc
 
 
@@ -229,12 +246,16 @@ def save_factorization(
         fh.write(text + "\n")
 
 
-def load_factorization(path: str) -> DoubleFactorization | FullRankFactorization:
+def read_record(path: str) -> dict:
+    """The raw JSON content of a factorization record file."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read factorization file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    return factorization_from_dict(data)
+
+
+def load_factorization(path: str) -> DoubleFactorization | FullRankFactorization:
+    return factorization_from_dict(read_record(path))

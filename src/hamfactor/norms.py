@@ -19,6 +19,7 @@ import numpy as np
 from .factorization import DoubleFactorization, FullRankFactorization
 from .shift import signed_split
 from .tensors import OneBodyTensors
+from .xdf import truncate_factors
 
 
 def _f_eigs(one_body) -> np.ndarray:
@@ -32,12 +33,6 @@ def one_body_norm(one_body, a1_prime: float = 0.0) -> float:
     return float(np.sum(np.abs(_f_eigs(one_body) - a1_prime)))
 
 
-def _truncate(v: np.ndarray, delta_df: float) -> np.ndarray:
-    if delta_df <= 0:
-        return v
-    return np.where(np.abs(v) >= delta_df, v, 0.0)
-
-
 def leaf_split_vectors(fact: DoubleFactorization) -> list[list[tuple[np.ndarray, int]]]:
     """Signed split vectors of each leaf's encoded core, δ_DF-truncated.
 
@@ -47,8 +42,8 @@ def leaf_split_vectors(fact: DoubleFactorization) -> list[list[tuple[np.ndarray,
     delta = fact.thresholds.delta_df
     out = []
     for w, alpha, sign in zip(fact.factors, fact.shifts, fact.signs):
-        pairs = [(v, s) for v, s in signed_split(w, alpha, sign)]
-        pairs = [(_truncate(v, delta), s) for v, s in pairs]
+        pairs = signed_split(w, alpha, sign)
+        pairs = [(truncate_factors(v, delta, "component"), s) for v, s in pairs]
         out.append([(v, s) for v, s in pairs if np.any(v)])
     return out
 
@@ -86,7 +81,7 @@ def split_directions(fact: DoubleFactorization | FullRankFactorization) -> list[
         for v in fact.cores:
             vals, vecs = np.linalg.eigh(0.5 * (v + v.T))
             for lam, vec in zip(vals, vecs.T):
-                scaled = _truncate(np.sqrt(abs(lam)) * vec, delta)
+                scaled = truncate_factors(np.sqrt(abs(lam)) * vec, delta, "component")
                 if np.any(scaled):
                     out.append(scaled)
         return out

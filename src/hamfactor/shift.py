@@ -19,6 +19,7 @@ from scipy.optimize import minimize_scalar
 from .errors import InvalidShiftSplit, ValidationError
 from .factorization import DoubleFactorization
 from .tensors import TwoElectronTensor, _freeze
+from .xdf import second_factorization, signed_first_factorization, truncate_factors
 
 SPLIT_TOL = 1e-12
 
@@ -87,10 +88,8 @@ def signed_split(w: np.ndarray, alpha: float, sign: int = 1) -> list[tuple[np.nd
     Handles all sign/α combinations (at most two terms).
     """
     w = np.asarray(w, dtype=float)
-    if sign == 1 and alpha == 0.0:
-        return [(w.copy(), 1)] if np.any(w) else []
-    if sign == -1 and alpha == 0.0:
-        return [(w.copy(), -1)] if np.any(w) else []
+    if alpha == 0.0:
+        return [(w.copy(), sign)] if np.any(w) else []
     pairs = _two_eigenpairs(w, alpha * sign)
     out = []
     for lam, vec in pairs:
@@ -102,10 +101,11 @@ def signed_split(w: np.ndarray, alpha: float, sign: int = 1) -> list[tuple[np.nd
 def split_shifted_factor(w: np.ndarray, alpha: float, delta_df: float = 0.0) -> ShiftedFactorPair:
     """Split W ⊗ W − α 1 ⊗ 1 into P ⊗ P − Q ⊗ Q.
 
-    For α = 0 this is P = W, Q = 0. Raises InvalidShiftSplit if the two
-    nonzero eigenvalues share a sign (cannot happen for α > 0 with real W,
-    guarded anyway). ``delta_df`` truncates small components of P and Q;
-    the retained counts are recorded as (xi, theta).
+    P and Q are the +1 and −1 directions of ``signed_split(w, alpha)``; for
+    α = 0 this is P = W, Q = 0. Raises InvalidShiftSplit if the two nonzero
+    eigenvalues share a sign (cannot happen for α > 0 with real W, guarded
+    anyway). ``delta_df`` truncates small components of P and Q; the
+    retained counts are recorded as (xi, theta).
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -114,23 +114,17 @@ def split_shifted_factor(w: np.ndarray, alpha: float, delta_df: float = 0.0) -> 
         raise ValidationError(
             "a P/Q split needs alpha >= 0; signed_split handles signed cores"
         )
-    n = w.size
-    if alpha == 0.0:
-        p, q = w.copy(), np.zeros(n)
-    else:
-        pairs = _two_eigenpairs(w, alpha)
-        pos = [np.sqrt(lam) * vec for lam, vec in pairs if lam > 0]
-        neg = [np.sqrt(-lam) * vec for lam, vec in pairs if lam < 0]
-        if len(pos) > 1 or len(neg) > 1:
-            raise InvalidShiftSplit(
-                f"core has {len(pos)} positive / {len(neg)} negative directions; "
-                "expected at most one of each"
-            )
-        p = pos[0] if pos else np.zeros(n)
-        q = neg[0] if neg else np.zeros(n)
-    if delta_df > 0:
-        p = np.where(np.abs(p) >= delta_df, p, 0.0)
-        q = np.where(np.abs(q) >= delta_df, q, 0.0)
+    parts = signed_split(w, alpha)
+    pos = [v for v, s in parts if s > 0]
+    neg = [v for v, s in parts if s < 0]
+    if len(pos) > 1 or len(neg) > 1:
+        raise InvalidShiftSplit(
+            f"core has {len(pos)} positive / {len(neg)} negative directions; "
+            "expected at most one of each"
+        )
+    zero = np.zeros(w.size)
+    p = truncate_factors(pos[0] if pos else zero, delta_df, "component")
+    q = truncate_factors(neg[0] if neg else zero, delta_df, "component")
     return ShiftedFactorPair(p=p, q=q, xi=int(np.count_nonzero(p)), theta=int(np.count_nonzero(q)))
 
 
@@ -151,8 +145,6 @@ def shifted_tensor(g: TwoElectronTensor, a2_prime: float) -> TwoElectronTensor:
 
 
 def _shifted_xdf(g: TwoElectronTensor, a2_prime: float, n_df: int, delta_df: float, mode: str):
-    from .xdf import second_factorization, signed_first_factorization
-
     leaves, signs = signed_first_factorization(shifted_tensor(g, a2_prime), n_df)
     fact = second_factorization(leaves, delta_df, mode, signs=signs)
     return replace(fact, a2_prime=float(a2_prime))

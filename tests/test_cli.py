@@ -163,6 +163,52 @@ def test_exit_code_2_on_non_finite_integrals(tmp_path, capsys, where):
     assert "read-input" in err and "non-finite" in err
 
 
+@pytest.fixture(scope="module")
+def xdf_record(tmp_path_factory):
+    """(FCIDUMP, record) of an N = 4 synthetic instance factorized by xdf."""
+    dump = tmp_path_factory.mktemp("record") / "inst.fcidump"
+    assert main(list(synth_args(dump))) == 0
+    assert main(["factorize", str(dump), "--method", "xdf"]) == 0
+    return dump, dump.with_name(dump.name + ".xdf.json")
+
+
+def _corrupt(data: dict, case: str) -> dict:
+    leaf = data["leaves"][0]
+    if case == "nan_in_w":
+        leaf["W"][0] = float("nan")
+    elif case == "string_a1_prime":
+        data["a1_prime"] = "x"
+    elif case == "ragged_u":
+        leaf["U"][0] = leaf["U"][0][:-1]
+    elif case == "sign_5":
+        leaf["sign"] = 5
+    else:
+        # a full-rank record of the same leaves, cores V = sign * W ⊗ W
+        data["kind"] = "full_rank"
+        for each in data["leaves"]:
+            w = np.asarray(each.pop("W"))
+            each["V"] = (each["sign"] * np.outer(w, w)).tolist()
+        if case == "full_rank_2x2_u":
+            leaf["U"] = [[1.0, 0.0], [0.0, 1.0]]
+        else:
+            leaf["V"][0][0] = float("inf")
+    return data
+
+
+@pytest.mark.parametrize("command", ["resources", "verify"])
+@pytest.mark.parametrize(
+    "case",
+    ["nan_in_w", "string_a1_prime", "ragged_u", "sign_5", "full_rank_2x2_u", "inf_in_v"],
+)
+def test_malformed_record_exits_2(tmp_path, capsys, xdf_record, case, command):
+    dump, record = xdf_record
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_corrupt(json.loads(record.read_text()), case)))
+    argv = ["resources", str(bad)] if command == "resources" else ["verify", str(bad), str(dump)]
+    assert main(argv) == 2
+    assert "read-input" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_indefinite_tensor(tmp_path, capsys):
     g, _ = make_instance(3, seed=5)
     flipped = hf.TwoElectronTensor(-g.g)

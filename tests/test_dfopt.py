@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hamfactor as hf
+from hamfactor import dfopt
 from hamfactor.dfopt import (
     _cdf_cost_and_grad_u,
     _expm_stack,
@@ -17,7 +18,7 @@ from hamfactor.dfopt import (
 )
 from hamfactor.errors import ValidationError
 
-from conftest import make_instance
+from conftest import data_path, make_instance
 
 FD_STEP = 1e-5
 # a central difference spans ~|W| * FD_STEP in product space, so points need
@@ -340,14 +341,22 @@ def test_scdf_random_init_fits_tensor():
     assert len(trace) > 1  # the run must survive the fitting phase
 
 
-def test_rcdf_zero_rho_matches_cdf(small_instance):
-    g, _ = small_instance
-    cfg = hf.OptimizerConfig(rho=0.0, max_outer_iters=6)
-    fa, _ = hf.optimize_cdf(g, 6, cfg)
-    fb, _ = hf.optimize_rcdf(g, 6, cfg)
-    assert fa.method_tag == fb.method_tag == "CDF"
-    for va, vb in zip(fa.cores, fb.cores):
-        assert np.array_equal(va, vb)
+def test_cdf_stops_once_the_fit_is_exact():
+    # chain_n07 at 4N fits to roundoff in the first outer iteration; a second
+    # one would repeat the V-step and the X-step only to leave U and V as is
+    g, _, _, _ = hf.parse_fcidump(data_path("chain_n07.fcidump"))
+    n_df = 4 * g.n_orbitals
+    fact, trace = hf.optimize_cdf(g, n_df)
+    assert len(trace) == 1
+    once, _ = hf.optimize_cdf(g, n_df, hf.OptimizerConfig(rho=0.0, max_outer_iters=1))
+    assert hf.factorization_to_dict(fact) == hf.factorization_to_dict(once)
+
+
+def test_dfopt_binds_the_scipy_kernels_perfbench_traces():
+    # perfbench/tracer.py wraps these dfopt attributes by name, so dropping one
+    # of the imports breaks every traced benchmark run
+    for name in ("expm", "expm_frechet", "minimize"):
+        assert callable(getattr(dfopt, name))
 
 
 def test_cdf_fits_factorizable_instance():
