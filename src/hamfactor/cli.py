@@ -228,6 +228,15 @@ def _read_fact(path: str):
         raise _stage("read-input", exc)
 
 
+def _check_orbitals(fact, eigs: np.ndarray, source: str) -> None:
+    """Exit 2 unless ``source`` gives one one-body eigenvalue per orbital of ``fact``."""
+    if eigs.shape != (fact.n_orbitals,):
+        raise ValidationError(
+            f"[read-input] the factorization has {fact.n_orbitals} orbitals but the "
+            f"one-body eigenvalues from {source} have shape {eigs.shape}"
+        )
+
+
 def cmd_resources(args) -> int:
     data, fact = _read_fact(args.fact)
     if args.fcidump:
@@ -241,6 +250,7 @@ def cmd_resources(args) -> int:
         raise ValidationError(
             "[read-input] factorization file lacks one-body data; pass --fcidump"
         )
+    _check_orbitals(fact, eigs, args.fcidump or "its one_body_eigs field")
     if args.kr != "auto":
         try:
             k_r = int(args.kr)
@@ -274,6 +284,7 @@ def cmd_resources(args) -> int:
 def cmd_verify(args) -> int:
     g, one_body, metadata = _load_problem(args.fcidump)
     _, fact = _read_fact(args.fact)
+    _check_orbitals(fact, one_body.f_eigs, args.fcidump)
     error = frobenius_error(g, reconstruct_tensor(fact))
     gnorm = float(np.linalg.norm(g.g))
     report: dict = {

@@ -10,16 +10,20 @@ von-Burg norm plateaus:
 4. plateau check on the two-body norm over a sliding window of outer
    iterations.
 
+Each rank-1 objective evaluation forms the residual Δ = g − Σ_t M^t ⊗ M^t
+(M^t = U^t diag(W^t) U^t^T) once and reads the cost and the W- or U-space
+gradient from it (``_scdf_objective``).
+
 The unconstrained variant keeps full symmetric cores V^t: its V-step is an
 exact linear least-squares solve (ridge-regularized for a quadratic penalty,
 subgradient L-BFGS for an L1 penalty), the U-step is the same generator-space
-L-BFGS. The exact solves run in symmetry-reduced coordinates (packed
-symmetric cores against packed 8-fold symmetric tensors): an isometric
-restriction of the N⁴ x T·N² Kronecker design with the same solution and
-1/10 (N = 7) to 1/16 (large N) of its entries. Each full-rank objective
-evaluation forms the residual Δ = g − Σ_t C^t V^t C^t^T once, as one GEMM
-over the stacked design blocks C^t, and reads the cost and either gradient
-from it with batched matmuls.
+L-BFGS (one ``_rotation_step`` serves both optimizers). The exact solves run
+in symmetry-reduced coordinates (packed symmetric cores against packed
+8-fold symmetric tensors): an isometric restriction of the N⁴ x T·N²
+Kronecker design with the same solution and 1/10 (N = 7) to 1/16 (large N)
+of its entries. Each full-rank objective evaluation forms the residual
+Δ = g − Σ_t C^t V^t C^t^T once, as one GEMM over the stacked design blocks
+C^t, and reads the cost and either gradient from it with batched matmuls.
 
 All gradients are analytic; the generator-space gradient pulls the U-space
 gradient back through the Fréchet derivative of the matrix exponential
@@ -51,26 +55,29 @@ from .xdf import first_factorization, second_factorization, truncate_factors
 logger = logging.getLogger(__name__)
 
 ORTHOGONALITY_TOL = 1e-10
+# inner L-BFGS solves: iteration cap, ftol = gtol, and memory (stored pairs)
+LBFGS_MAX_ITERS = 200
+LBFGS_TOLERANCE = 1e-12
+LBFGS_MEMORY = 10
+# outer iterations the SCDF plateau rule looks back over
+PLATEAU_WINDOW = 5
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs for the alternating optimizers.
 
-    ``rho``, ``lbfgs_tolerance`` and ``norm_plateau_threshold`` (0.05 Ha over
-    a 5-iteration window) carry the published defaults; the L-BFGS memory and
-    iteration caps and the random-init scale are our own choices. ``gamma``
+    ``rho`` and ``norm_plateau_threshold`` (0.05 Ha over ``PLATEAU_WINDOW``
+    outer iterations) carry the published defaults, as does the inner
+    tolerance ``LBFGS_TOLERANCE``; the inner L-BFGS cap and memory are the
+    module constants ``LBFGS_MAX_ITERS`` and ``LBFGS_MEMORY``. ``gamma``
     selects the penalty exponent of the full-rank regularized variant.
     """
 
     rho: float = 1e-5
     gamma: int = 1
     max_outer_iters: int = 40
-    lbfgs_max_iters: int = 200
-    lbfgs_tolerance: float = 1e-12
-    lbfgs_memory: int = 10
     norm_plateau_threshold: float = 0.05
-    plateau_window: int = 5
     init_mode: str = "from_xdf"
     rng_seed: int = 0
     delta_df: float = 1e-4
@@ -94,28 +101,44 @@ def _leaf_matrices(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (u * w[:, None, :]) @ u.transpose(0, 2, 1)
 
 
-def _residual(gmat: np.ndarray, u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Δ as N²xN² matrix, vec'd leaf matrices), Δ = g − Σ_t M^t ⊗ M^t."""
+def _scdf_objective(
+    gmat: np.ndarray, u: np.ndarray, w: np.ndarray, alpha: np.ndarray, rho: float
+) -> tuple[float, float, np.ndarray]:
+    """(cost, residual cost, Y) from one residual Δ = g − Σ_t M^t ⊗ M^t.
+
+    Y^t_pq = Σ_rs Δ_pqrs M^t_rs per leaf; both gradients follow from it
+    (``_grad_w``, ``_grad_u_rank1``).
+    """
     t, n, _ = u.shape
     vec = _leaf_matrices(u, w).reshape(t, n * n)
-    return gmat - vec.T @ vec, vec
+    delta = gmat - vec.T @ vec
+    residual = 0.5 * float(np.sum(delta * delta))
+    cost = residual
+    if rho:
+        products = w[:, :, None] * w[:, None, :]
+        cost += rho * float(np.sum(np.abs(products - alpha[:, None, None])))
+    return cost, residual, (vec @ delta).reshape(-1, n, n)
+
+
+def _grad_w(
+    u: np.ndarray, w: np.ndarray, alpha: np.ndarray, rho: float, y: np.ndarray
+) -> np.ndarray:
+    grad = -2.0 * np.einsum("tpq,tpk,tqk->tk", y, u, u)
+    if rho:
+        signs = np.sign(w[:, :, None] * w[:, None, :] - alpha[:, None, None])
+        grad += 2.0 * rho * np.einsum("tkl,tl->tk", signs, w)
+    return grad
+
+
+def _grad_u_rank1(u: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return -4.0 * (y @ u) * w[:, None, :]
 
 
 def cost_scdf(
     g: TwoElectronTensor, u: np.ndarray, w: np.ndarray, alpha: np.ndarray, rho: float
 ) -> float:
     """Rank-1 cost ½‖Δ‖²_F + ρ Σ_{t,k,l} |W^t_k W^t_l − α^t|."""
-    delta, _ = _residual(g.as_matrix(), u, w)
-    cost = 0.5 * float(np.sum(delta * delta))
-    if rho:
-        products = w[:, :, None] * w[:, None, :]
-        cost += rho * float(np.sum(np.abs(products - alpha[:, None, None])))
-    return cost
-
-
-def _y_matrices(delta: np.ndarray, vec: np.ndarray, n: int) -> np.ndarray:
-    """Y^t_pq = Σ_rs Δ_pqrs M^t_rs for every leaf."""
-    return (vec @ delta).reshape(-1, n, n)
+    return _scdf_objective(g.as_matrix(), u, w, alpha, rho)[0]
 
 
 def grad_scdf_w(
@@ -125,22 +148,13 @@ def grad_scdf_w(
 
     sign(0) := 0 is the subgradient choice at penalty kinks.
     """
-    n = g.n_orbitals
-    delta, vec = _residual(g.as_matrix(), u, w)
-    y = _y_matrices(delta, vec, n)
-    grad = -2.0 * np.einsum("tpq,tpk,tqk->tk", y, u, u)
-    if rho:
-        signs = np.sign(w[:, :, None] * w[:, None, :] - alpha[:, None, None])
-        grad += 2.0 * rho * np.einsum("tkl,tl->tk", signs, w)
-    return grad
+    return _grad_w(u, w, alpha, rho, _scdf_objective(g.as_matrix(), u, w, alpha, rho)[2])
 
 
 def grad_scdf_u(g: TwoElectronTensor, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """∂(residual cost)/∂U^t_pk = −4 Σ_q Y^t_pq U_qk W_k (the penalty is U-free)."""
-    n = g.n_orbitals
-    delta, vec = _residual(g.as_matrix(), u, w)
-    y = _y_matrices(delta, vec, n)
-    return -4.0 * (y @ u) * w[:, None, :]
+    y = _scdf_objective(g.as_matrix(), u, w, np.zeros(len(w)), 0.0)[2]
+    return _grad_u_rank1(u, w, y)
 
 
 def _grad_to_generator(x: np.ndarray, grad_u: np.ndarray) -> np.ndarray:
@@ -244,17 +258,13 @@ def grad_cdf_u(g: TwoElectronTensor, u: np.ndarray, v: np.ndarray) -> np.ndarray
 # generator parametrization
 
 
-def _triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, k=1)
-
-
 def _x_to_flat(x: np.ndarray) -> np.ndarray:
-    iu = _triu_indices(x.shape[1])
+    iu = np.triu_indices(x.shape[1], k=1)
     return x[:, iu[0], iu[1]].ravel()
 
 
 def _flat_to_x(flat: np.ndarray, t: int, n: int) -> np.ndarray:
-    iu = _triu_indices(n)
+    iu = np.triu_indices(n, k=1)
     x = np.zeros((t, n, n))
     x[:, iu[0], iu[1]] = flat.reshape(t, -1)
     return x - x.transpose(0, 2, 1)
@@ -318,18 +328,11 @@ def generator_from_rotation(u: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_orthogonal(u: np.ndarray, outer: int) -> None:
-    n = u.shape[1]
-    err = max(np.max(np.abs(ut.T @ ut - np.eye(n))) for ut in u)
-    if err > ORTHOGONALITY_TOL:
-        raise OptimizationError(f"rotation drifted off the manifold ({err:.2e})", iteration=outer)
-
-
 # ---------------------------------------------------------------------------
 # L-BFGS drivers and updates
 
 
-def _lbfgs(fun, x0: np.ndarray, config: OptimizerConfig) -> np.ndarray:
+def _lbfgs(fun, x0: np.ndarray) -> np.ndarray:
     if x0.size == 0:
         return x0
     res = minimize(
@@ -338,13 +341,35 @@ def _lbfgs(fun, x0: np.ndarray, config: OptimizerConfig) -> np.ndarray:
         jac=True,
         method="L-BFGS-B",
         options={
-            "maxiter": config.lbfgs_max_iters,
-            "ftol": config.lbfgs_tolerance,
-            "gtol": config.lbfgs_tolerance,
-            "maxcor": config.lbfgs_memory,
+            "maxiter": LBFGS_MAX_ITERS,
+            "ftol": LBFGS_TOLERANCE,
+            "gtol": LBFGS_TOLERANCE,
+            "maxcor": LBFGS_MEMORY,
         },
     )
     return res.x
+
+
+def _rotation_step(cost_and_grad_u, x: np.ndarray, outer: int) -> tuple[np.ndarray, np.ndarray]:
+    """L-BFGS over the generators X from ``x``; returns (X, U = expm(X)).
+
+    ``cost_and_grad_u(U)`` gives the cost and its U-space gradient; the
+    gradient is pulled back to X through the same eigendecomposition that
+    gives U. A U that drifted off the orthogonal group is an error.
+    """
+    t, n, _ = x.shape
+
+    def objective(xflat: np.ndarray):
+        eig = _eig_generators(_flat_to_x(xflat, t, n))
+        cost, grad_u = cost_and_grad_u(_rotations(eig))
+        return cost, _x_to_flat(_pull_back(eig, grad_u))
+
+    x = _flat_to_x(_lbfgs(objective, _x_to_flat(x)), t, n)
+    u = _expm_stack(x)
+    err = max(np.max(np.abs(ut.T @ ut - np.eye(n))) for ut in u)
+    if err > ORTHOGONALITY_TOL:
+        raise OptimizationError(f"rotation drifted off the manifold ({err:.2e})", iteration=outer)
+    return x, u
 
 
 def _median_alpha(w: np.ndarray) -> np.ndarray:
@@ -375,14 +400,14 @@ def _scdf_record(
 
 
 def _init_state(
-    g: TwoElectronTensor, n_df: int, config: OptimizerConfig, seed: int
+    g: TwoElectronTensor, n_df: int, config: OptimizerConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Initial (X, W) stacks for n_df leaves."""
     n = g.n_orbitals
     gnorm = float(np.linalg.norm(g.as_matrix()))
     scale = np.sqrt(gnorm / max(n_df * n, 1))
     if config.init_mode == "random":
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(config.rng_seed)
         x = _flat_to_x(0.1 * rng.standard_normal(n_df * n * (n - 1) // 2), n_df, n)
         w = scale * rng.standard_normal((n_df, n))
         return x, w
@@ -396,7 +421,7 @@ def _init_state(
     if n_df > base.n_leaves:
         # extra leaves get a small random kick; exactly-zero W is a stationary
         # point the W-step can never leave
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(config.rng_seed)
         w[base.n_leaves :] = 0.01 * scale * rng.standard_normal((n_df - base.n_leaves, n))
     return x, w
 
@@ -426,43 +451,49 @@ def _check_finite(value: float, outer: int) -> None:
         raise OptimizationError("cost became non-finite", iteration=outer)
 
 
-def _scdf_single(
-    g: TwoElectronTensor, n_df: int, config: OptimizerConfig, seed: int
+def optimize_scdf(
+    g: TwoElectronTensor,
+    n_df: int,
+    config: OptimizerConfig = OptimizerConfig(),
 ) -> tuple[DoubleFactorization, list[TraceRow]]:
+    """Rank-1 compressed factorization with per-leaf encoding shifts.
+
+    Runs the alternating W / α / generator loop until the two-body norm
+    stalls (windowed plateau) or max_outer_iters is hit. With from_xdf
+    init an iteration that would raise the norm is rejected and the loop
+    stops, so the recorded norm trajectory is non-increasing; random init
+    has to grow the norm while it fits the tensor, so only the plateau
+    rule applies there. Output has the component truncation and the α
+    threshold applied.
+    """
+    if n_df < 1:
+        raise ValidationError("n_df must be >= 1")
     n = g.n_orbitals
     gmat = g.as_matrix()
-    x, w = _init_state(g, n_df, config, seed)
+    x, w = _init_state(g, n_df, config)
     u = _expm_stack(x)
     alpha = np.zeros(n_df)
     rho = config.rho
 
     def w_objective(wflat: np.ndarray):
         wmat = wflat.reshape(n_df, n)
-        return (
-            cost_scdf(g, u, wmat, alpha, rho),
-            grad_scdf_w(g, u, wmat, alpha, rho).ravel(),
-        )
+        cost, _, y = _scdf_objective(gmat, u, wmat, alpha, rho)
+        return cost, _grad_w(u, wmat, alpha, rho, y).ravel()
 
-    def x_objective(xflat: np.ndarray):
-        eig = _eig_generators(_flat_to_x(xflat, n_df, n))
-        umat = _rotations(eig)
-        cost = cost_scdf(g, umat, w, alpha, rho)
-        return cost, _x_to_flat(_pull_back(eig, grad_scdf_u(g, umat, w)))
+    def cost_and_grad_u(umat: np.ndarray):
+        cost, _, y = _scdf_objective(gmat, umat, w, alpha, rho)
+        return cost, _grad_u_rank1(umat, w, y)
 
     trace: list[TraceRow] = []
     prev_lambda = np.inf
     snapshot = (x.copy(), w.copy(), alpha.copy())
     for outer in range(1, config.max_outer_iters + 1):
-        w = _lbfgs(w_objective, w.ravel(), config).reshape(n_df, n)
+        w = _lbfgs(w_objective, w.ravel()).reshape(n_df, n)
         alpha = _median_alpha(w)
-        x = _flat_to_x(_lbfgs(x_objective, _x_to_flat(x), config), n_df, n)
-        u = _expm_stack(x)
-        _check_orthogonal(u, outer)
+        x, u = _rotation_step(cost_and_grad_u, x, outer)
 
-        cost = cost_scdf(g, u, w, alpha, rho)
+        cost, residual_cost, y = _scdf_objective(gmat, u, w, alpha, rho)
         _check_finite(cost, outer)
-        delta, _ = _residual(gmat, u, w)
-        residual_cost = 0.5 * float(np.sum(delta * delta))
         # the default thresholds keep δ_DF = 0: the norm of the untruncated iterate
         lam2 = two_body_burg_norm(_scdf_record(u, w, alpha))
         # From an XDF seed the norm falls monotonically, so an uptick means
@@ -474,19 +505,18 @@ def _scdf_single(
             u = _expm_stack(x)
             logger.debug("norm increased at outer %d; reverted", outer)
             break
-        grad_norm = float(np.max(np.abs(grad_scdf_w(g, u, w, alpha, rho))))
+        grad_norm = float(np.max(np.abs(_grad_w(u, w, alpha, rho, y))))
         trace.append(TraceRow(outer, cost, residual_cost, cost - residual_cost, lam2, grad_norm))
         snapshot = (x.copy(), w.copy(), alpha.copy())
         prev_lambda = lam2
-        window = config.plateau_window
-        if len(trace) > window:
+        if len(trace) > PLATEAU_WINDOW:
+            past = trace[-1 - PLATEAU_WINDOW]
             if config.init_mode == "from_xdf":
-                stalled = trace[-1 - window].lambda_two_body - lam2 < config.norm_plateau_threshold
+                stalled = past.lambda_two_body - lam2 < config.norm_plateau_threshold
             else:
                 # norm climbs while a random seed is still fitting the
                 # tensor, so stall detection has to watch the cost instead
-                past = trace[-1 - window].cost
-                stalled = past - cost < 1e-9 * max(abs(past), 1.0)
+                stalled = past.cost - cost < 1e-9 * max(abs(past.cost), 1.0)
             if stalled:
                 break
 
@@ -498,41 +528,6 @@ def _scdf_single(
         u[keep], w_final[keep], alpha[keep], Thresholds(config.delta_df, config.delta_alpha, rho)
     )
     return apply_alpha_threshold(fact, config.delta_alpha), trace
-
-
-def optimize_scdf(
-    g: TwoElectronTensor,
-    n_df: int,
-    config: OptimizerConfig = OptimizerConfig(),
-    n_starts: int = 1,
-) -> tuple[DoubleFactorization, list[TraceRow]]:
-    """Rank-1 compressed factorization with per-leaf encoding shifts.
-
-    Runs the alternating W / α / generator loop until the two-body norm
-    stalls (windowed plateau) or max_outer_iters is hit. With from_xdf
-    init an iteration that would raise the norm is rejected and the loop
-    stops, so the recorded norm trajectory is non-increasing; random init
-    has to grow the norm while it fits the tensor, so only the plateau
-    rule applies there. Output has the component truncation and the α
-    threshold applied.
-
-    ``n_starts`` > 1 reruns from shifted seeds and keeps the lowest final
-    two-body norm; only useful with random init, which is vulnerable to
-    local minima.
-    """
-    if n_df < 1:
-        raise ValidationError("n_df must be >= 1")
-    if n_starts < 1:
-        raise ValidationError("n_starts must be >= 1")
-    if config.init_mode == "from_xdf":
-        n_starts = 1
-    best = None
-    for start in range(n_starts):
-        fact, trace = _scdf_single(g, n_df, config, config.rng_seed + start)
-        final = trace[-1].lambda_two_body if trace else np.inf
-        if best is None or final < best[0]:
-            best = (final, fact, trace)
-    return best[1], best[2]
 
 
 def _packing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -577,7 +572,6 @@ def solve_v_step(
     u: np.ndarray,
     rho: float = 0.0,
     gamma: int = 2,
-    config: OptimizerConfig = OptimizerConfig(rho=0.0),
     v0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Optimal symmetric cores V^t at fixed rotations.
@@ -610,7 +604,7 @@ def solve_v_step(
             cost, _, y = _cdf_objective(gmat, c, v, rho, 1)
             return cost, (_grad_v(c, y) + rho * np.sign(v)).ravel()
 
-        out = _lbfgs(objective, v0.ravel(), config).reshape(t, n, n)
+        out = _lbfgs(objective, v0.ravel()).reshape(t, n, n)
         return 0.5 * (out + out.transpose(0, 2, 1))
     a, y = _reduced_v_design(gmat, c)
     if rho:
@@ -641,22 +635,15 @@ def optimize_cdf(
     n = g.n_orbitals
     gmat = g.as_matrix()
     rho, gamma = config.rho, config.gamma
-    x, w = _init_state(g, n_df, config, config.rng_seed)
+    x, w = _init_state(g, n_df, config)
     u = _expm_stack(x)
     v = np.stack([np.outer(wt, wt) for wt in w])
-
-    def x_objective(xflat: np.ndarray):
-        eig = _eig_generators(_flat_to_x(xflat, n_df, n))
-        cost, grad_u = _cdf_cost_and_grad_u(gmat, _rotations(eig), v, rho, gamma)
-        return cost, _x_to_flat(_pull_back(eig, grad_u))
 
     trace: list[TraceRow] = []
     prev_cost = np.inf
     for outer in range(1, config.max_outer_iters + 1):
-        v = solve_v_step(g, u, rho, gamma, config, v)
-        x = _flat_to_x(_lbfgs(x_objective, _x_to_flat(x), config), n_df, n)
-        u = _expm_stack(x)
-        _check_orthogonal(u, outer)
+        v = solve_v_step(g, u, rho, gamma, v)
+        x, u = _rotation_step(lambda um: _cdf_cost_and_grad_u(gmat, um, v, rho, gamma), x, outer)
         c = _design_blocks(u)
         cost, residual, y = _cdf_objective(gmat, c, v, rho, gamma)
         _check_finite(cost, outer)

@@ -209,6 +209,29 @@ def test_malformed_record_exits_2(tmp_path, capsys, xdf_record, case, command):
     assert "read-input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["verify", "verify_fci", "resources_fcidump", "short_one_body_eigs"])
+def test_orbital_count_mismatch_exits_2(tmp_path, capsys, xdf_record, case):
+    _, record = xdf_record
+    other = tmp_path / "n5.fcidump"
+    assert main(list(synth_args(other, n=5))) == 0
+    if case == "short_one_body_eigs":
+        data = json.loads(record.read_text())
+        data["one_body_eigs"] = data["one_body_eigs"][:2]
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(data))
+        argv, shape = ["resources", str(short)], "(2,)"
+    else:
+        argv, shape = {
+            "verify": ["verify", str(record), str(other)],
+            "verify_fci": ["verify", str(record), str(other), "--fci"],
+            "resources_fcidump": ["resources", str(record), "--fcidump", str(other)],
+        }[case], "(5,)"
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "read-input" in err and "4 orbitals" in err and shape in err
+
+
 def test_exit_code_3_on_indefinite_tensor(tmp_path, capsys):
     g, _ = make_instance(3, seed=5)
     flipped = hf.TwoElectronTensor(-g.g)

@@ -336,7 +336,7 @@ def test_scdf_trace_is_monotone(small_instance):
 def test_scdf_random_init_fits_tensor():
     g, _ = make_instance(3, n_components=2, seed=19)
     cfg = hf.OptimizerConfig(init_mode="random", rho=1e-5, max_outer_iters=60, rng_seed=1)
-    fact, trace = hf.optimize_scdf(g, 6, cfg, n_starts=2)
+    fact, trace = hf.optimize_scdf(g, 6, cfg)
     assert hf.frobenius_error(g, hf.reconstruct_tensor(fact)) < 1e-2
     assert len(trace) > 1  # the run must survive the fitting phase
 
