@@ -83,7 +83,6 @@ from .resources import (
     optimal_k,
     qrom_cost,
     qrom_erasure_cost,
-    rotation_lookup_cost,
 )
 from .oracle import (
     DenseHamiltonian,
@@ -151,7 +150,6 @@ __all__ = [
     "qrom_cost",
     "qrom_erasure_cost",
     "reconstruct_tensor",
-    "rotation_lookup_cost",
     "save_factorization",
     "second_factorization",
     "shifted_tensor",

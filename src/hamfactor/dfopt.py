@@ -46,7 +46,7 @@ from scipy.linalg import expm, expm_frechet, logm  # noqa: F401
 from scipy.optimize import minimize
 
 from .errors import OptimizationError, ValidationError
-from .factorization import DoubleFactorization, FullRankFactorization, Thresholds
+from .factorization import DoubleFactorization, FullRankFactorization, Thresholds, _leaf_matrices
 from .norms import two_body_burg_norm
 from .shift import apply_alpha_threshold
 from .tensors import TwoElectronTensor
@@ -95,10 +95,6 @@ class OptimizerConfig:
 
 # ---------------------------------------------------------------------------
 # cost and gradients, rank-1 cores
-
-
-def _leaf_matrices(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (u * w[:, None, :]) @ u.transpose(0, 2, 1)
 
 
 def _scdf_objective(

@@ -24,6 +24,11 @@ from .tensors import TwoElectronTensor, _freeze
 METHOD_TAGS = ("XDF", "CDF", "RCDF", "SCDF")
 
 
+def _leaf_matrices(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Stacked leaf matrices U^t diag(W^t) U^t^T from stacked U and W."""
+    return (u * w[:, None, :]) @ u.transpose(0, 2, 1)
+
+
 @dataclass(frozen=True)
 class Thresholds:
     delta_df: float = 0.0
@@ -84,9 +89,7 @@ class DoubleFactorization:
 
     def leaf_matrices(self) -> np.ndarray:
         """Stacked N x N leaf matrices M^t = U^t diag(W^t) U^t^T (unsigned)."""
-        u = np.stack(self.rotations)
-        w = np.stack(self.factors)
-        return (u * w[:, None, :]) @ u.transpose(0, 2, 1)
+        return _leaf_matrices(np.stack(self.rotations), np.stack(self.factors))
 
     def with_one_body_shift(self, a1_prime: float) -> "DoubleFactorization":
         return replace(self, a1_prime=float(a1_prime))

@@ -12,6 +12,11 @@ qubits p and p+N). Two independent constructions are provided:
   equivalent of the one-body rotation circuit; no matrix log is needed in
   this representation).
 
+Both read one excitation table: arrays (row, col, pq, sign) of every nonzero
+<row|E_pq|col>, found for all states at once by bit masks, popcount parities
+and a sorted search. A one-body operator is one sparse matrix over it; the
+two-body part is one product of side-by-side E_pq and stacked A_pq blocks.
+
 Agreement of the two is the ground truth for factorization fidelity and for
 the shift-correction identity. Everything is dense and deliberately capped at
 14 qubits; particle-number sectors are built directly in the occupation basis
@@ -34,34 +39,6 @@ MAX_QUBITS = 14
 MAX_FULL_SPACE_QUBITS = 12
 
 
-def _as_tensor4(g) -> np.ndarray:
-    arr = np.asarray(getattr(g, "g", g), dtype=float)
-    if arr.ndim != 4:
-        raise ValidationError("two-electron tensor must be rank 4")
-    return arr
-
-
-def _sector_states(n_qubits: int, sector: int | str) -> tuple[int, ...]:
-    if sector == "all":
-        return tuple(range(1 << n_qubits))
-    if not isinstance(sector, (int, np.integer)):
-        raise ValidationError(f"sector must be an electron count or 'all', got {sector!r}")
-    if sector < 0 or sector > n_qubits:
-        raise ValidationError(f"sector {sector} is empty for {n_qubits} spin orbitals")
-    return tuple(s for s in range(1 << n_qubits) if s.bit_count() == sector)
-
-
-def _check_size(n_orbitals: int, sector: int | str) -> int:
-    n_qubits = 2 * n_orbitals
-    cap = MAX_QUBITS if sector != "all" else MAX_FULL_SPACE_QUBITS
-    if n_qubits > cap:
-        raise ValidationError(
-            f"{n_qubits} spin orbitals exceed the dense bound ({cap} qubits"
-            f"{' without a sector' if sector == 'all' else ''})"
-        )
-    return n_qubits
-
-
 @dataclass(frozen=True)
 class DenseHamiltonian:
     matrix: np.ndarray
@@ -70,44 +47,75 @@ class DenseHamiltonian:
     sector: int | str
 
 
-def _excitation(p: int, q: int, basis: tuple[int, ...], index: dict) -> sp.csr_matrix:
-    """Spin-orbital ladder product a^dag_p a_q with Jordan-Wigner parities."""
-    d = len(basis)
-    rows, cols, vals = [], [], []
-    for col, state in enumerate(basis):
-        if not (state >> q) & 1:
-            continue
-        sign = -1 if (state & ((1 << q) - 1)).bit_count() & 1 else 1
-        stripped = state & ~(1 << q)
-        if (stripped >> p) & 1:
-            continue
-        if (stripped & ((1 << p) - 1)).bit_count() & 1:
-            sign = -sign
-        target = stripped | (1 << p)
-        rows.append(index[target])
-        cols.append(col)
-        vals.append(float(sign))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(d, d))
+def _transitions(n: int, states: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(rows, cols, pq, signs) of every nonzero <row|E_pq|col> over sorted states.
+
+    Each entry is a spin-orbital hop Q -> P of E_pq = a^dag_p↑ a_q↑ + a^dag_p↓ a_q↓:
+    Q occupied, P empty once Q is, with the Jordan-Wigner sign of the occupied
+    orbitals below Q, then below P. Both spins of a diagonal E_pp hit one
+    (row, col, pq); building a matrix sums them.
+    """
+    pq = np.tile(np.arange(n * n), 2)
+    spin = np.repeat([0, n], n * n)  # up block, then down block
+    hop_p, hop_q = (np.stack(np.divmod(pq, n)) + spin)[:, :, None]
+    stripped = states & ~(1 << hop_q)
+    target = stripped | (1 << hop_p)
+    hop, cols = np.nonzero((stripped != states) & (target != stripped))
+    below = np.bitwise_count(states & ((1 << hop_q) - 1)) + np.bitwise_count(stripped & ((1 << hop_p) - 1))
+    rows = np.searchsorted(states, target[hop, cols])
+    return rows, cols, pq[hop], np.where(below[hop, cols] & 1, -1.0, 1.0)
 
 
-def _spatial_excitations(n: int, basis: tuple[int, ...]) -> list[list[sp.csr_matrix]]:
-    """E_pq = a^dag_p↑ a_q↑ + a^dag_p↓ a_q↓ for all spatial pairs."""
-    index = {state: i for i, state in enumerate(basis)}
-    return [
-        [_excitation(p, q, basis, index) + _excitation(p + n, q + n, basis, index) for q in range(n)]
-        for p in range(n)
-    ]
+def _operator_basis(n: int, sector: int | str) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Sorted occupation strings of the sector and their excitation table."""
+    n_qubits = 2 * n
+    cap = MAX_QUBITS if sector != "all" else MAX_FULL_SPACE_QUBITS
+    if n_qubits > cap:
+        raise ValidationError(
+            f"{n_qubits} spin orbitals exceed the dense bound ({cap} qubits"
+            f"{' without a sector' if sector == 'all' else ''})"
+        )
+    states = np.arange(1 << n_qubits)
+    if sector != "all":
+        if not isinstance(sector, (int, np.integer)):
+            raise ValidationError(f"sector must be an electron count or 'all', got {sector!r}")
+        if sector < 0 or sector > n_qubits:
+            raise ValidationError(f"sector {sector} is empty for {n_qubits} spin orbitals")
+        states = states[np.bitwise_count(states) == sector]
+    return states, _transitions(n, states)
 
 
-def _one_body_operator(coeff: np.ndarray, e_ops) -> sp.csr_matrix:
-    n = coeff.shape[0]
-    d = e_ops[0][0].shape[0]
-    out = sp.csr_matrix((d, d))
-    for p in range(n):
-        for q in range(n):
-            if coeff[p, q] != 0.0:
-                out = out + coeff[p, q] * e_ops[p][q]
-    return out
+def _one_body_operator(coeff: np.ndarray, table, d: int) -> sp.csr_matrix:
+    """sum_pq coeff_pq E_pq."""
+    rows, cols, pq, signs = table
+    return sp.csr_matrix((np.ravel(coeff)[pq] * signs, (rows, cols)), shape=(d, d))
+
+
+def _two_body_operator(garr: np.ndarray, table, d: int) -> sp.csr_matrix:
+    """sum_pq E_pq A_pq with A_pq = sum_rs g_pqrs E_rs, as one sparse product.
+
+    [E_00 E_01 ...] (column pq*d + col) times [A_00; A_01; ...] (row pq*d + row);
+    sorted by row, the table gives every A block as one CSR block on its columns.
+    """
+    m = garr.shape[0] ** 2
+    order = np.argsort(table[0])
+    rows, cols, pq, signs = (a[order] for a in table)
+    blocks = sp.csr_matrix((signs, (rows, pq * d + cols)), shape=(d, m * d))
+    coupled = np.take(garr.reshape(m, m), pq, axis=1)
+    coupled *= signs
+    starts = (np.arange(m)[:, None] * len(rows) + np.searchsorted(rows, np.arange(d))).ravel()
+    # C-order data (np.take, not [:, pq]) and int32 columns: scipy copies neither
+    return blocks @ sp.csr_matrix(
+        (coupled.ravel(), np.tile(cols.astype(np.int32), m), np.append(starts, coupled.size)),
+        shape=(m * d, d),
+    )
+
+
+def _dense(ham: sp.spmatrix, states: np.ndarray, n: int, sector: int | str) -> DenseHamiltonian:
+    dense = ham.toarray()
+    dense += dense.T  # numpy buffers the overlapping transpose
+    dense *= 0.5
+    return DenseHamiltonian(dense, tuple(states.tolist()), 2 * n, sector)
 
 
 def build_from_integrals(
@@ -119,24 +127,15 @@ def build_from_integrals(
     the half exchange trace), ``g`` the chemists'-convention tensor.
     """
     k = np.asarray(k, dtype=float)
-    garr = _as_tensor4(g)
+    garr = np.asarray(getattr(g, "g", g), dtype=float)
     n = k.shape[0]
     if garr.shape != (n, n, n, n):
         raise ValidationError("one- and two-body dimensions disagree")
-    n_qubits = _check_size(n, sector)
-    basis = _sector_states(n_qubits, sector)
-    e_ops = _spatial_excitations(n, basis)
-    d = len(basis)
+    states, table = _operator_basis(n, sector)
+    d = len(states)
     ham = sp.identity(d, format="csr") * float(e_nuc)
-    ham = ham + _one_body_operator(k, e_ops)
-    for p in range(n):
-        for q in range(n):
-            block = _one_body_operator(garr[p, q], e_ops)
-            if block.nnz:
-                ham = ham + 0.5 * (e_ops[p][q] @ block)
-    dense = ham.toarray()
-    dense = 0.5 * (dense + dense.T)
-    return DenseHamiltonian(dense, basis, n_qubits, sector)
+    ham = ham + _one_body_operator(k, table, d) + 0.5 * _two_body_operator(garr, table, d)
+    return _dense(ham, states, n, sector)
 
 
 def build_from_factorization(
@@ -155,11 +154,8 @@ def build_from_factorization(
     n = fact.n_orbitals
     if one_body.f.shape[0] != n:
         raise ValidationError("factorization and one-body dimensions disagree")
-    n_qubits = _check_size(n, sector)
-    basis = _sector_states(n_qubits, sector)
-    e_ops = _spatial_excitations(n, basis)
-    d = len(basis)
-
+    states, table = _operator_basis(n, sector)
+    d = len(states)
     x = fact.a1_prime + n * (fact.a2_prime + sum(fact.shifts))
     # the squared operators below each expand to ... + sigma c_j^2 / 2; this
     # constant removes that surplus so the assembled constant is exactly e_nuc
@@ -167,31 +163,29 @@ def build_from_factorization(
         s * float(np.sum(w)) ** 2 - a * n * n
         for w, a, s in zip(fact.factors, fact.shifts, fact.signs)
     )
-    ham = sp.identity(d, format="csr") * float(one_body.e_nuc - 0.5 * core_entry_sum)
-    ham = ham + _one_body_operator(one_body.f - x * np.eye(n), e_ops)
     identity = sp.identity(d, format="csr")
+    ham = identity * float(one_body.e_nuc - 0.5 * core_entry_sum)
+    ham = ham + _one_body_operator(one_body.f - x * np.eye(n), table, d)
     for u, w, alpha, sign in zip(fact.rotations, fact.factors, fact.shifts, fact.signs):
         for v, direction_sign in signed_split(np.asarray(w), float(alpha), sign):
             a = u @ np.diag(v) @ u.T
-            op = float(np.sum(v)) * identity - _one_body_operator(a, e_ops)
+            op = float(np.sum(v)) * identity - _one_body_operator(a, table, d)
             ham = ham + (0.5 * direction_sign) * (op @ op)
-    dense = ham.toarray()
-    dense = 0.5 * (dense + dense.T)
-    return DenseHamiltonian(dense, basis, n_qubits, sector)
+    return _dense(ham, states, n, sector)
 
 
 def number_operator(hd: DenseHamiltonian) -> np.ndarray:
     """Dense total-number operator in the same basis (diagonal popcounts)."""
-    return np.diag([float(state.bit_count()) for state in hd.basis])
+    return np.diag(np.bitwise_count(np.asarray(hd.basis)).astype(float))
 
 
 def _sector_block(hd: DenseHamiltonian, n_electrons: int) -> tuple[np.ndarray, tuple[int, ...]]:
     if hd.sector == "all":
-        keep = [i for i, s in enumerate(hd.basis) if s.bit_count() == n_electrons]
-        if not keep:
+        basis = np.asarray(hd.basis)
+        keep = np.flatnonzero(np.bitwise_count(basis) == n_electrons)
+        if not keep.size:
             raise ValidationError(f"sector {n_electrons} is empty")
-        idx = np.asarray(keep)
-        return hd.matrix[np.ix_(idx, idx)], tuple(hd.basis[i] for i in keep)
+        return hd.matrix[np.ix_(keep, keep)], tuple(basis[keep].tolist())
     if hd.sector != n_electrons:
         raise ValidationError(f"Hamiltonian was built in sector {hd.sector}, asked for {n_electrons}")
     return hd.matrix, hd.basis

@@ -13,8 +13,8 @@ is chosen independently.
 Remaining per-step work (Givens networks, swaps, arithmetic) is modeled by
 two linear terms with constants calibrated once against published explicit-
 factorization totals; matching a reference estimator bit-for-bit is out of
-scope. The iteration count is ceil(pi*lambda / (2*epsilon)) with the standard
-qubitization prefactor pi/2 kept configurable.
+scope. The iteration count is ceil(pi*lambda / (2*epsilon)), from the standard
+qubitization prefactor pi/2.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ GIVENS_TOFFOLIS_PER_ANGLE_BIT = 30
 MISC_TOFFOLIS_PER_ORBITAL = 4
 # control logic, inequality tests, dirty workspace
 BOOKKEEPING_QUBITS = 400
+# qubitized phase estimation: iterations = ITERATION_PREFACTOR * lambda / epsilon
+ITERATION_PREFACTOR = math.pi / 2
 
 
 def _bits_for(count: int) -> int:
@@ -106,25 +108,12 @@ def qrom_erasure_cost(n_records: int) -> int:
     return min(math.ceil(n_records / k) + k - 1 for k in _power_of_two_candidates(n_records))
 
 
-def rotation_lookup_cost(
-    n_df: int, xi_mean: float, n_orbitals: int, beta: int, k_r: int
-) -> tuple[int, int]:
-    """(Toffolis, ancillae) of the angle-table lookup.
-
-    The table holds one record per kept direction entry (n_df * xi_mean in
-    aggregate), each record the N beta-bit angles of one Givens chain.
-    """
-    n_records = max(int(round(n_df * xi_mean)), 1)
-    return qrom_cost(n_records, n_orbitals * beta, k_r)
-
-
 @dataclass(frozen=True)
 class CostModelConfig:
     bits_state_prep: int = 10
     bits_rotations: int = 16
     epsilon: float = 1.6e-3
     k_r: int | None = None
-    iteration_prefactor: float = math.pi / 2
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -133,15 +122,6 @@ class CostModelConfig:
             raise ValidationError("bit widths must be >= 1")
         if self.k_r is not None and not _is_power_of_two(self.k_r):
             raise ValidationError(f"k_r={self.k_r} is not a power of 2")
-
-    def to_dict(self) -> dict:
-        return {
-            "bits_state_prep": self.bits_state_prep,
-            "bits_rotations": self.bits_rotations,
-            "epsilon": self.epsilon,
-            "k_r": self.k_r,
-            "iteration_prefactor": self.iteration_prefactor,
-        }
 
 
 @dataclass(frozen=True)
@@ -206,7 +186,7 @@ def estimate(
     givens = GIVENS_TOFFOLIS_PER_ANGLE_BIT * n * beta
     misc = MISC_TOFFOLIS_PER_ORBITAL * n
     per_step = rot_toff + rot_erase + prep_toff + prep_erase + givens + misc
-    iterations = math.ceil(config.iteration_prefactor * lam / config.epsilon)
+    iterations = math.ceil(ITERATION_PREFACTOR * lam / config.epsilon)
 
     phase_register = _bits_for(iterations)
     index_qubits = _bits_for(n_leaves) + _bits_for(n)

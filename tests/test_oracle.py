@@ -1,5 +1,6 @@
 """Exact-diagonalization cross-checks between independent constructions."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import hamfactor as hf
 from hamfactor.errors import ValidationError
-from hamfactor.oracle import MAX_FULL_SPACE_QUBITS, MAX_QUBITS
+from hamfactor.oracle import MAX_FULL_SPACE_QUBITS, MAX_QUBITS, _one_body_operator, _operator_basis
 
 from conftest import data_path, make_instance, make_one_body
 
@@ -25,6 +26,47 @@ def test_noninteracting_energies_are_subset_sums():
         occ_dn = [(state >> (p + 2)) & 1 for p in range(2)]
         expected = 0.125 + sum(e * (u + d) for e, u, d in zip(eps, occ_up, occ_dn))
         assert hd.matrix[i, i] == pytest.approx(expected, abs=1e-12)
+
+
+def test_noninteracting_spectrum_is_orbital_subset_sums():
+    # a dense k hops between orbitals 0 and 2 across orbital 1, so a wrong
+    # Jordan-Wigner sign moves levels; the spectrum needs no second builder
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 3))
+    k = a + a.T
+    assert abs(k[0, 2]) > 0.1
+    occupations = np.array(list(itertools.product((0, 1), repeat=3)))
+    one_spin = occupations @ np.linalg.eigvalsh(k)
+    expected = np.sort((one_spin[:, None] + one_spin[None, :]).ravel())
+    spectrum = np.linalg.eigvalsh(hf.build_from_integrals(k, zeros_tensor(3)).matrix)
+    assert len(spectrum) == 64
+    assert np.max(np.abs(spectrum - expected)) < 1e-10
+
+
+def ladder_product(p, q, states):
+    """Dense a^dag_p a_q over sorted occupation strings, one state at a time."""
+    index = {state: i for i, state in enumerate(states)}
+    out = np.zeros((len(states), len(states)))
+    for col, state in enumerate(states):
+        stripped = state & ~(1 << q)
+        if stripped == state or (stripped >> p) & 1:
+            continue
+        parity = (state & ((1 << q) - 1)).bit_count() + (stripped & ((1 << p) - 1)).bit_count()
+        out[index[stripped | (1 << p)], col] = -1.0 if parity & 1 else 1.0
+    return out
+
+
+@pytest.mark.parametrize("sector", ["all", 3])
+def test_excitation_table_matches_per_state_ladder_products(sector):
+    n = 3
+    states, table = _operator_basis(n, sector)
+    basis = states.tolist()
+    for p in range(n):
+        for q in range(n):
+            coeff = np.zeros((n, n))
+            coeff[p, q] = 1.0
+            expected = ladder_product(p, q, basis) + ladder_product(p + n, q + n, basis)
+            assert np.array_equal(_one_body_operator(coeff, table, len(basis)).toarray(), expected)
 
 
 def test_h2_fci_against_two_determinant_ci(h2_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import hamfactor as hf
 from hamfactor.errors import ValidationError
 from hamfactor.factorization import DoubleFactorization, Thresholds
-from hamfactor.resources import angle_record_count, qrom_erasure_cost, rotation_lookup_cost
+from hamfactor.resources import angle_record_count, qrom_erasure_cost
 
 from conftest import make_instance, make_one_body
 
@@ -72,12 +72,6 @@ def test_qrom_erasure_width_free():
     # erasure never exceeds the plain lookup
     for n in (2, 5, 33, 1000):
         assert qrom_erasure_cost(n) <= n
-
-
-def test_rotation_lookup_hand_values():
-    # 64 directions averaging 16 kept angles, 32 orbitals at 16 bits each
-    assert rotation_lookup_cost(64, 16.0, 32, 16, k_r=1) == (1024, 10)
-    assert rotation_lookup_cost(64, 16.0, 32, 16, k_r=2) == (1024, 521)
 
 
 def test_iteration_count_hand_value():
