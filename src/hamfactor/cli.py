@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .factorization import (
 )
 from .fcidump import parse_fcidump, write_fcidump
 from .norms import lambda_burg, lambda_lcu, norm_report, one_body_norm
-from .oracle import build_from_factorization, build_from_integrals, ground_state
+from .oracle import _ground_space, build_from_factorization, build_from_integrals, ground_state
 from .resources import CostModelConfig, estimate, kr_tradeoff_sweep
 from .shift import correction_energy, global_two_body_shift, one_body_shift, ShiftCorrection
 from .tensors import SyntheticSpec, derive_one_body, frobenius_error, synthesize_instance
@@ -80,6 +80,8 @@ def _load_problem(path: str):
         one_body = derive_one_body(h, g, e_nuc)
     except HamfactorError as exc:
         raise _stage("read-input", exc)
+    for warning in metadata["warnings"]:
+        print(f"warning: [read-input] {path}: {warning}", file=sys.stderr)
     return g, one_body, metadata
 
 
@@ -208,7 +210,7 @@ def cmd_factorize(args) -> int:
             },
         )
         if args.trace and trace is not None:
-            lines = [finite_json(row.to_dict()) + "\n" for row in trace]
+            lines = [finite_json(asdict(row)) + "\n" for row in trace]
             with open(args.trace, "w") as fh:
                 fh.writelines(lines)
     except OSError as exc:
@@ -281,6 +283,22 @@ def cmd_resources(args) -> int:
     return 0
 
 
+def _electron_count(args, metadata: dict) -> int:
+    """The FCI sector: --nelec, else the FCIDUMP header's NELEC (0 means unset)."""
+    if args.nelec is not None:
+        if args.nelec < 1:
+            raise ValidationError(f"[fci] --nelec must be at least 1, got {args.nelec}")
+        return args.nelec
+    nelec = metadata.get("NELEC", 0)
+    if not isinstance(nelec, int) or nelec < 0:
+        raise ValidationError(
+            f"[read-input] {args.fcidump}: header NELEC={nelec!r} is not a non-negative integer"
+        )
+    if nelec == 0:
+        raise ValidationError("[fci] electron count unknown; pass --nelec")
+    return nelec
+
+
 def cmd_verify(args) -> int:
     g, one_body, metadata = _load_problem(args.fcidump)
     _, fact = _read_fact(args.fact)
@@ -295,12 +313,10 @@ def cmd_verify(args) -> int:
     if args.fci:
         if isinstance(fact, FullRankFactorization):
             raise ValidationError("[fci] the FCI check supports rank-1 factorizations only")
-        nelec = args.nelec if args.nelec is not None else int(metadata.get("NELEC", 0) or 0)
-        if nelec < 1:
-            raise ValidationError("[fci] electron count unknown; pass --nelec")
+        nelec = _electron_count(args, metadata)
         try:
             exact_hd = build_from_integrals(one_body.k, g, one_body.e_nuc, sector=nelec)
-            e_exact, psi_exact, _ = ground_state(exact_hd, nelec)
+            e_exact, exact_level, _ = _ground_space(exact_hd, nelec)
             enc_hd = build_from_factorization(fact, one_body, sector=nelec)
             e_enc, psi_enc, _ = ground_state(enc_hd, nelec)
             correction = ShiftCorrection.from_factorization(fact)
@@ -309,7 +325,7 @@ def cmd_verify(args) -> int:
                 fact, a1_prime=0.0, a2_prime=0.0, shifts=tuple(0.0 for _ in fact.shifts)
             )
             bare_hd = build_from_factorization(bare, one_body, sector=nelec)
-            e_bare, psi_bare, _ = ground_state(bare_hd, nelec)
+            e_bare, bare_level, _ = _ground_space(bare_hd, nelec)
             # exact operator identity, independent of fit quality: zeroing the
             # stored shift fields changes the assembled operator by
             # (a1' + N*a2')*Ne + (sum alpha)*Ne^2/2 -- the bare twin still
@@ -324,8 +340,11 @@ def cmd_verify(args) -> int:
                 "ground_restored": e_restored,
                 "delta_factorized": abs(e_restored - e_exact),
                 "shift_correction_residual": abs(identity_restored - e_bare),
-                "shift_eigenvector_overlap": float(abs(np.dot(psi_enc, psi_bare))),
-                "exact_eigenvector_overlap": float(abs(np.dot(psi_enc, psi_exact))),
+                # norm of the encoded ground vector projected onto the other
+                # matrix's whole ground level: a degenerate level has no
+                # preferred eigenvector to take a plain overlap with
+                "shift_eigenvector_overlap": float(np.linalg.norm(psi_enc @ bare_level)),
+                "exact_eigenvector_overlap": float(np.linalg.norm(psi_enc @ exact_level)),
                 "correction": {"a1": correction.a1, "a2": correction.a2},
             }
         except HamfactorError as exc:

@@ -431,16 +431,6 @@ class TraceRow:
     lambda_two_body: float | None  # None for full-rank cores, which have no rank-1 norm
     grad_norm: float
 
-    def to_dict(self) -> dict:
-        return {
-            "outer": self.outer,
-            "cost": self.cost,
-            "residual_cost": self.residual_cost,
-            "penalty": self.penalty,
-            "lambda_two_body": self.lambda_two_body,
-            "grad_norm": self.grad_norm,
-        }
-
 
 def _check_finite(value: float, outer: int) -> None:
     if not np.isfinite(value):

@@ -14,7 +14,7 @@ of leaf t is sign_t * W^t ⊗ W^t − α^t * 1 ⊗ 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -34,9 +34,6 @@ class Thresholds:
     delta_df: float = 0.0
     delta_alpha: float = 0.0
     rho: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {"delta_df": self.delta_df, "delta_alpha": self.delta_alpha, "rho": self.rho}
 
 
 @dataclass(frozen=True)
@@ -176,7 +173,7 @@ def factorization_to_dict(
         "method": fact.method_tag,
         "leaves": leaves,
         **shift_fields,
-        "thresholds": fact.thresholds.to_dict(),
+        "thresholds": asdict(fact.thresholds),
     }
     if config is not None:
         out["config"] = config

@@ -2,25 +2,29 @@
 
 Builds the qubit Hamiltonian under the Jordan-Wigner convention: qubit i is
 spin orbital i, orbital-major with the up block first (orbital p maps to
-qubits p and p+N). Two independent constructions are provided:
+qubits p and p+N). Both builders assemble one form,
 
-* from the raw integrals, H = e_nuc + sum k_pq E_pq + 1/2 sum g_pqrs E_pq E_rs
-  with k the one-body coefficient adapted to the bare product form;
-* from a factorization, as the block encoding sees it: constant + shifted
-  one-body part + per-direction squared one-body operators, every basis
-  rotation realized exactly as the conjugated matrix U diag(v) U^T (the dense
-  equivalent of the one-body rotation circuit; no matrix log is needed in
-  this representation).
+    H = e_nuc + sum k_pq E_pq + 1/2 sum g_pqrs E_pq E_rs,
 
-Both read one excitation table: arrays (row, col, pq, sign) of every nonzero
-<row|E_pq|col>, found for all states at once by bit masks, popcount parities
-and a sorted search. A one-body operator is one sparse matrix over it; the
-two-body part is one product of side-by-side E_pq and stacked A_pq blocks.
+from the raw integrals (k the one-body coefficient adapted to the bare
+product form) or from a factorization's encoded integrals. Expanding the
+block encoding's squared one-body terms 1/2 sigma_j (c_j − n_j)^2 of every
+``signed_split`` direction shows that the encoded Hamiltonian is this form
+with g = g̃ − (a2′ + Σ_t α^t) δ_pq δ_rs and k = f − a1′·1 − Σ_r g̃_pqrr, where
+g̃ = reconstruct_tensor(fact). So the oracle reads a factorization only
+through its reconstruction and its shift fields; the squared-direction
+construction itself is kept as a test reference.
 
-Agreement of the two is the ground truth for factorization fidelity and for
-the shift-correction identity. Everything is dense and deliberately capped at
-14 qubits; particle-number sectors are built directly in the occupation basis
-to keep the matrices small.
+The assembly reads one excitation table: arrays (row, col, pq, sign) of every
+nonzero <row|E_pq|col>, found for all states at once by bit masks, popcount
+parities and a sorted search. A one-body operator is one sparse matrix over
+it; the two-body part is one product of side-by-side E_pq and stacked A_pq
+blocks.
+
+Agreement of the two builds is the ground truth for factorization fidelity
+and for the shift-correction identity. Everything is dense and deliberately
+capped at 14 qubits; particle-number sectors are built directly in the
+occupation basis to keep the matrices small.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .factorization import DoubleFactorization
-from .shift import signed_split
+from .factorization import DoubleFactorization, reconstruct_tensor
+from .shift import shifted_tensor
 from .tensors import OneBodyTensors
 
 MAX_QUBITS = 14
@@ -111,7 +115,13 @@ def _two_body_operator(garr: np.ndarray, table, d: int) -> sp.csr_matrix:
     )
 
 
-def _dense(ham: sp.spmatrix, states: np.ndarray, n: int, sector: int | str) -> DenseHamiltonian:
+def _assemble(k: np.ndarray, garr: np.ndarray, e_nuc: float, sector: int | str) -> DenseHamiltonian:
+    """Dense e_nuc + sum k_pq E_pq + 1/2 sum g_pqrs E_pq E_rs over the sector."""
+    n = k.shape[0]
+    states, table = _operator_basis(n, sector)
+    d = len(states)
+    ham = sp.identity(d, format="csr") * float(e_nuc)
+    ham = ham + _one_body_operator(k, table, d) + 0.5 * _two_body_operator(garr, table, d)
     dense = ham.toarray()
     dense += dense.T  # numpy buffers the overlapping transpose
     dense *= 0.5
@@ -131,11 +141,7 @@ def build_from_integrals(
     n = k.shape[0]
     if garr.shape != (n, n, n, n):
         raise ValidationError("one- and two-body dimensions disagree")
-    states, table = _operator_basis(n, sector)
-    d = len(states)
-    ham = sp.identity(d, format="csr") * float(e_nuc)
-    ham = ham + _one_body_operator(k, table, d) + 0.5 * _two_body_operator(garr, table, d)
-    return _dense(ham, states, n, sector)
+    return _assemble(k, garr, e_nuc, sector)
 
 
 def build_from_factorization(
@@ -143,35 +149,17 @@ def build_from_factorization(
 ) -> DenseHamiltonian:
     """Dense matrix of the encoded Hamiltonian a block encoding implements.
 
-    Assembles e_nuc + sum (f − x·I)_pq E_pq + sum_t sum_j sigma_j ·
-    1/2 (c_j − n_j)^2 with n_j the one-body operator of U^t diag(v_j) U^t^T,
-    c_j the entry sum of direction v_j, and x = a1' + N(a2' + sum alpha^t).
-    The x back-reaction converts the f-convention one-body coefficient to the
-    bare-product form while absorbing the one- and two-body shifts; splits are
-    taken at full precision (angle truncation is a resource-model concern).
-    Restoring the shifts is exactly correction_energy on every eigenvalue.
+    The integral Hamiltonian of the encoded integrals: g̃ − (a2′ + Σα) δ_pq δ_rs
+    with g̃ = reconstruct_tensor(fact), and the bare-product one-body
+    coefficient f − a1′·1 − Σ_r g̃_pqrr. Restoring the shifts is exactly
+    correction_energy on every eigenvalue.
     """
     n = fact.n_orbitals
     if one_body.f.shape[0] != n:
         raise ValidationError("factorization and one-body dimensions disagree")
-    states, table = _operator_basis(n, sector)
-    d = len(states)
-    x = fact.a1_prime + n * (fact.a2_prime + sum(fact.shifts))
-    # the squared operators below each expand to ... + sigma c_j^2 / 2; this
-    # constant removes that surplus so the assembled constant is exactly e_nuc
-    core_entry_sum = sum(
-        s * float(np.sum(w)) ** 2 - a * n * n
-        for w, a, s in zip(fact.factors, fact.shifts, fact.signs)
-    )
-    identity = sp.identity(d, format="csr")
-    ham = identity * float(one_body.e_nuc - 0.5 * core_entry_sum)
-    ham = ham + _one_body_operator(one_body.f - x * np.eye(n), table, d)
-    for u, w, alpha, sign in zip(fact.rotations, fact.factors, fact.shifts, fact.signs):
-        for v, direction_sign in signed_split(np.asarray(w), float(alpha), sign):
-            a = u @ np.diag(v) @ u.T
-            op = float(np.sum(v)) * identity - _one_body_operator(a, table, d)
-            ham = ham + (0.5 * direction_sign) * (op @ op)
-    return _dense(ham, states, n, sector)
+    g = reconstruct_tensor(fact)
+    k = one_body.f - fact.a1_prime * np.eye(n) - np.einsum("pqrr->pq", g.g)
+    return _assemble(k, shifted_tensor(g, fact.total_shift).g, one_body.e_nuc, sector)
 
 
 def number_operator(hd: DenseHamiltonian) -> np.ndarray:
@@ -199,8 +187,18 @@ def ground_energy(hd: DenseHamiltonian, n_electrons: int | None = None) -> float
     return float(np.linalg.eigvalsh(block)[0])
 
 
-def ground_state(hd: DenseHamiltonian, n_electrons: int) -> tuple[float, np.ndarray, tuple[int, ...]]:
-    """(energy, eigenvector, basis states) of the sector ground level."""
+def _ground_space(hd: DenseHamiltonian, n_electrons: int) -> tuple[float, np.ndarray, tuple[int, ...]]:
+    """(energy, orthonormal columns spanning the level, basis states) of the sector ground level.
+
+    The level holds every eigenvector within 1e-8 * max(1, |E0|) of E0, so a
+    spin multiplet comes whole rather than as one arbitrary member.
+    """
     block, states = _sector_block(hd, n_electrons)
     vals, vecs = np.linalg.eigh(block)
-    return float(vals[0]), vecs[:, 0], states
+    return float(vals[0]), vecs[:, vals <= vals[0] + 1e-8 * max(1.0, abs(vals[0]))], states
+
+
+def ground_state(hd: DenseHamiltonian, n_electrons: int) -> tuple[float, np.ndarray, tuple[int, ...]]:
+    """(energy, eigenvector, basis states) of the sector ground level."""
+    energy, space, states = _ground_space(hd, n_electrons)
+    return energy, space[:, 0], states

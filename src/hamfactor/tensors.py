@@ -79,21 +79,16 @@ class OneBodyTensors:
         k: chemists'-form one-body matrix h - 0.5 * sum_r g[p,r,r,q].
         f: effective one-body matrix k + sum_r g[p,q,r,r].
         f_eigs: eigenvalues f° of f, ascending.
-        f_vecs: orthogonal eigenvectors U° of f (columns).
         e_nuc: nuclear repulsion energy.
-        constant_term: factorization-independent constant accumulated by the
-            rearrangement into the diagonal form: sum_k f°_k - 0.5 * sum_pr g[p,p,r,r].
     """
 
     k: np.ndarray
     f: np.ndarray
     f_eigs: np.ndarray
-    f_vecs: np.ndarray
     e_nuc: float
-    constant_term: float
 
     def __post_init__(self):
-        for name in ("k", "f", "f_eigs", "f_vecs"):
+        for name in ("k", "f", "f_eigs"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
@@ -120,9 +115,8 @@ def derive_one_body(h: np.ndarray, g: TwoElectronTensor, e_nuc: float = 0.0) -> 
     k = h - 0.5 * np.einsum("prrq->pq", g.g)
     f = k + np.einsum("pqrr->pq", g.g)
     f = 0.5 * (f + f.T)  # exact symmetrization against roundoff
-    eigs, vecs = np.linalg.eigh(f)
-    constant = float(np.sum(eigs) - 0.5 * np.einsum("pprr->", g.g))
-    return OneBodyTensors(k=k, f=f, f_eigs=eigs, f_vecs=vecs, e_nuc=float(e_nuc), constant_term=constant)
+    eigs, _ = np.linalg.eigh(f)  # not eigvalsh: it differs in the last bits, and records store f°
+    return OneBodyTensors(k=k, f=f, f_eigs=eigs, e_nuc=float(e_nuc))
 
 
 @dataclass(frozen=True)

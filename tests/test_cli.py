@@ -329,6 +329,64 @@ def test_verify_fci_shift_identity_with_per_leaf_shifts(tmp_path, capsys):
     assert fci["exact_eigenvector_overlap"] == pytest.approx(1.0, abs=1e-7)
 
 
+def test_verify_fci_overlaps_span_a_degenerate_ground_level(tmp_path, capsys):
+    # chain_n06's 6-electron ground level is a 5-fold multiplet: eigh picks an
+    # arbitrary member per matrix, and member-to-member overlaps read ~1e-30
+    dump = data_path("chain_n06.fcidump")
+    g, h, e_nuc, _ = hf.parse_fcidump(dump)
+    exact = hf.build_from_integrals(hf.derive_one_body(h, g, e_nuc).k, g, e_nuc, sector=6)
+    levels = np.linalg.eigvalsh(exact.matrix)
+    assert levels[1] - levels[0] < 1e-8
+    record = tmp_path / "n06.json"
+    assert run(capsys, "factorize", dump, "--method", "xdf-shift", "--output", str(record))[0] == 0
+    code, payload = run(capsys, "verify", str(record), dump, "--fci")
+    assert code == 0
+    fci = payload["fci"]
+    assert fci["n_electrons"] == 6
+    assert fci["shift_correction_residual"] < 1e-9
+    assert fci["shift_eigenvector_overlap"] == pytest.approx(1.0, abs=1e-9)
+    assert fci["exact_eigenvector_overlap"] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "header, flag, expected",
+    [
+        ("abc", None, "NELEC"),
+        ("3,4", None, "NELEC"),
+        ("2.5", None, "NELEC"),
+        ("-1", None, "NELEC"),
+        ("0", None, "unknown; pass --nelec"),
+        ("4", "-1", "--nelec must be"),
+        ("4", "0", "--nelec must be"),
+    ],
+)
+def test_verify_fci_rejects_a_bad_electron_count(tmp_path, capsys, xdf_record, header, flag, expected):
+    dump, record = xdf_record
+    bad = tmp_path / "nelec.fcidump"
+    text = dump.read_text()
+    assert "NELEC=  4," in text
+    bad.write_text(text.replace("NELEC=  4,", f"NELEC={header},", 1))
+    argv = ["verify", str(record), str(bad), "--fci"] + (["--nelec", flag] if flag else [])
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert expected in err
+    if expected == "NELEC":
+        assert "[read-input]" in err and str(bad) in err
+
+
+def test_missing_nuclear_repulsion_record_warns(tmp_path, capsys, xdf_record):
+    dump, _ = xdf_record
+    lines = dump.read_text().splitlines(keepends=True)
+    assert lines[-1].split()[1:] == ["0", "0", "0", "0"]
+    bare = tmp_path / "no_enuc.fcidump"
+    bare.write_text("".join(lines[:-1]))
+    capsys.readouterr()
+    assert main(["factorize", str(bare), "--method", "xdf", "--output", str(tmp_path / "r.json")]) == 0
+    err = capsys.readouterr().err
+    assert f"warning: [read-input] {bare}: " in err and "nuclear-repulsion" in err
+
+
 def test_sweep_fits_and_single_point_note(tmp_path, capsys):
     d3, d5 = tmp_path / "n3.fcidump", tmp_path / "n5.fcidump"
     assert run(capsys, *synth_args(d3, n=3))[0] == 0

@@ -182,3 +182,59 @@ def test_sector_block_consistency():
     assert hf.ground_energy(full, 2) == pytest.approx(hf.ground_energy(direct, 2), abs=1e-12)
     with pytest.raises(ValidationError):
         hf.ground_energy(direct, 3)
+
+
+def squared_direction_reference(fact, one_body, sector):
+    """The encoded Hamiltonian as the block encoding writes it, one direction at a time.
+
+    e_nuc − 1/2 sum sigma_j c_j^2 + sum (f − x·1)_pq E_pq + sum_j 1/2 sigma_j (c_j − n_j)^2
+    over every signed_split direction v_j of every leaf, with c_j = sum(v_j),
+    n_j the one-body operator of U diag(v_j) U^T and x = a1′ + N(a2′ + sum α).
+    """
+    n = fact.n_orbitals
+    states, table = _operator_basis(n, sector)
+    d = len(states)
+    identity = np.eye(d)
+    x = fact.a1_prime + n * (fact.a2_prime + sum(fact.shifts))
+    ham = _one_body_operator(one_body.f - x * np.eye(n), table, d).toarray()
+    ham += one_body.e_nuc * identity
+    for u, w, alpha, sign in zip(fact.rotations, fact.factors, fact.shifts, fact.signs):
+        for v, sigma in hf.signed_split(w, alpha, sign):
+            c = float(np.sum(v))
+            op = c * identity - _one_body_operator(u @ np.diag(v) @ u.T, table, d).toarray()
+            ham += 0.5 * sigma * (op @ op - c * c * identity)
+    return ham
+
+
+def random_shifted_record(n, seed):
+    """Rank-1 record with every (leaf sign, α sign) pair, one α = 0 leaf, a1′ and a2′ set."""
+    rng = np.random.default_rng(seed)
+    signs = (1, 1, -1, -1, 1)
+    shifts = tuple(s * rng.uniform(0.05, 0.5) for s in (1, -1, 1, -1, 0))
+    return hf.DoubleFactorization(
+        n_orbitals=n,
+        method_tag="SCDF",
+        rotations=tuple(np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in signs),
+        factors=tuple(rng.standard_normal(n) for _ in signs),
+        shifts=shifts,
+        signs=signs,
+        leaf_ranks=(n,) * len(signs),
+        a1_prime=float(rng.uniform(-1, 1)),
+        a2_prime=float(rng.uniform(-1, 1)),
+    )
+
+
+@pytest.mark.parametrize("sector", ["all", "n"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_factorized_builder_matches_squared_direction_reference(n, sector):
+    sector = n if sector == "n" else sector
+    for seed in range(3):
+        fact = random_shifted_record(n, seed)
+        assert {(s, np.sign(a)) for s, a in zip(fact.signs, fact.shifts)} >= {
+            (1, 1), (1, -1), (-1, 1), (-1, -1)
+        }
+        g, _ = make_instance(n, seed=seed)
+        ob = make_one_body(g, seed=seed, e_nuc=0.3)
+        built = hf.build_from_factorization(fact, ob, sector=sector)
+        reference = squared_direction_reference(fact, ob, sector)
+        assert np.max(np.abs(built.matrix - reference)) <= 1e-12
