@@ -22,9 +22,19 @@ it; the two-body part is one product of side-by-side E_pq and stacked A_pq
 blocks.
 
 Agreement of the two builds is the ground truth for factorization fidelity
-and for the shift-correction identity. Everything is dense and deliberately
-capped at 14 qubits; particle-number sectors are built directly in the
-occupation basis to keep the matrices small.
+and for the shift-correction identity. The matrices are dense and
+deliberately capped at 14 qubits; particle-number sectors are built directly
+in the occupation basis to keep them small.
+
+Ground levels come from one spin block of the sector, not from the whole
+sector matrix. H is built from the spin-summed E_pq, so it conserves each
+spin's electron count and commutes with S^2: the sector matrix is block
+diagonal in 2M_s = n_up − n_down, and every spin multiplet has a member with
+2M_s = N_e mod 2. That one block therefore holds the sector's ground energy,
+and its eigenvectors, padded with zeros, are eigenvectors of the whole sector
+matrix. An overlap of a vector in the block with the ground level is
+unchanged by dropping the level's other M_s members: the level's projector
+commutes with S_z, so it maps the block into itself.
 """
 
 from __future__ import annotations
@@ -179,23 +189,41 @@ def _sector_block(hd: DenseHamiltonian, n_electrons: int) -> tuple[np.ndarray, t
     return hd.matrix, hd.basis
 
 
+def _spin_block_level(
+    block: np.ndarray, states: tuple[int, ...], n: int, n_electrons: int
+) -> tuple[float, np.ndarray]:
+    """(energy, level columns in the sector basis) of the 2M_s = N_e mod 2 block.
+
+    The level holds every eigenvector within 1e-8 * max(1, |E0|) of E0, so a
+    degeneracy inside the block comes whole; rows outside the block are zero.
+    """
+    basis = np.asarray(states)
+    two_ms = np.bitwise_count(basis & ((1 << n) - 1)).astype(int) - np.bitwise_count(basis >> n)
+    keep = np.flatnonzero(two_ms == n_electrons % 2)
+    vals, vecs = np.linalg.eigh(block[np.ix_(keep, keep)])
+    low = vals <= vals[0] + 1e-8 * max(1.0, abs(vals[0]))
+    level = np.zeros((len(basis), int(np.count_nonzero(low))))
+    level[keep] = vecs[:, low]
+    return float(vals[0]), level
+
+
 def ground_energy(hd: DenseHamiltonian, n_electrons: int | None = None) -> float:
     """Lowest eigenvalue, restricted to the n-electron sector when given."""
     if n_electrons is None:
         return float(np.linalg.eigvalsh(hd.matrix)[0])
-    block, _ = _sector_block(hd, n_electrons)
-    return float(np.linalg.eigvalsh(block)[0])
+    return _ground_space(hd, n_electrons)[0]
 
 
 def _ground_space(hd: DenseHamiltonian, n_electrons: int) -> tuple[float, np.ndarray, tuple[int, ...]]:
     """(energy, orthonormal columns spanning the level, basis states) of the sector ground level.
 
-    The level holds every eigenvector within 1e-8 * max(1, |E0|) of E0, so a
-    spin multiplet comes whole rather than as one arbitrary member.
+    The columns span the level's 2M_s = N_e mod 2 part (see the module
+    docstring), so a spin multiplet contributes its one member there rather
+    than an arbitrary mix of members.
     """
     block, states = _sector_block(hd, n_electrons)
-    vals, vecs = np.linalg.eigh(block)
-    return float(vals[0]), vecs[:, vals <= vals[0] + 1e-8 * max(1.0, abs(vals[0]))], states
+    energy, level = _spin_block_level(block, states, hd.n_spin_orbitals // 2, n_electrons)
+    return energy, level, states
 
 
 def ground_state(hd: DenseHamiltonian, n_electrons: int) -> tuple[float, np.ndarray, tuple[int, ...]]:

@@ -21,18 +21,27 @@ logger = logging.getLogger(__name__)
 EIG_CLAMP_TOL = 1e-10
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    """Make the first component of largest magnitude positive."""
-    pivot = int(np.argmax(np.abs(v)))
-    return -v if v[pivot] < 0 else v
-
-
 def _order_by_magnitude(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort descending by |eigenvalue|; exact ties broken lexicographically."""
-    order = np.argsort(-np.abs(vals), kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
-    vecs = np.column_stack([_fix_sign(vecs[:, i]) for i in range(vecs.shape[1])])
+    """Sort descending by |eigenvalue|; exact ties broken lexicographically.
+
+    Works on one decomposition or a stack of them (vals (..., n), vecs
+    (..., n, n)). Each eigenvector's first component of largest magnitude is
+    made positive.
+    """
+    order = np.argsort(-np.abs(vals), axis=-1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    pivot = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    vecs = np.where(np.take_along_axis(vecs, pivot, axis=-2) < 0, -vecs, vecs)
     mags = np.abs(vals)
+    tied = np.any(mags[..., 1:] == mags[..., :-1], axis=-1)
+    for row in map(tuple, np.argwhere(tied)):
+        _break_ties(vals[row], vecs[row], mags[row])
+    return vals, vecs
+
+
+def _break_ties(vals: np.ndarray, vecs: np.ndarray, mags: np.ndarray) -> None:
+    """Order each run of equal |eigenvalue| by its eigenvectors, in place."""
     i = 0
     while i < len(vals):
         j = i + 1
@@ -43,7 +52,6 @@ def _order_by_magnitude(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray,
             vals[i:j] = vals[sub]
             vecs[:, i:j] = vecs[:, sub]
         i = j
-    return vals, vecs
 
 
 def _eigendecompose_matrix_form(g: TwoElectronTensor, n_df: int) -> tuple[np.ndarray, np.ndarray]:
@@ -55,9 +63,11 @@ def _eigendecompose_matrix_form(g: TwoElectronTensor, n_df: int) -> tuple[np.nda
     return vals[:n_df], vecs[:, :n_df]
 
 
-def _leaf_from_eigenpair(lam: float, vec: np.ndarray, n: int) -> np.ndarray:
-    L = np.sqrt(abs(lam)) * vec.reshape(n, n)
-    return 0.5 * (L + L.T)  # eigenvectors of a symmetric-image matrix; kill roundoff skew
+def _leaves(vals: np.ndarray, vecs: np.ndarray, n: int) -> list[np.ndarray]:
+    """Symmetric leaves sqrt|λ_t| * mat(v_t), one per column."""
+    L = (vecs * np.sqrt(np.abs(vals))).T.reshape(-1, n, n)
+    # eigenvectors of a symmetric-image matrix; kill roundoff skew
+    return list(0.5 * (L + L.transpose(0, 2, 1)))
 
 
 def first_factorization(g: TwoElectronTensor, n_df: int) -> list[np.ndarray]:
@@ -74,7 +84,7 @@ def first_factorization(g: TwoElectronTensor, n_df: int) -> list[np.ndarray]:
     if np.any(vals < 0):
         logger.warning("clamping %d tiny negative eigenvalues to zero", int(np.sum(vals < 0)))
         vals = np.clip(vals, 0.0, None)
-    return [_leaf_from_eigenpair(vals[t], vecs[:, t], n) for t in range(len(vals))]
+    return _leaves(vals, vecs, n)
 
 
 def signed_first_factorization(g: TwoElectronTensor, n_df: int) -> tuple[list[np.ndarray], list[int]]:
@@ -86,8 +96,7 @@ def signed_first_factorization(g: TwoElectronTensor, n_df: int) -> tuple[list[np
     vals, vecs = _eigendecompose_matrix_form(g, n_df)
     signs = [1 if v >= -EIG_CLAMP_TOL else -1 for v in vals]
     vals = np.where(np.abs(vals) < EIG_CLAMP_TOL, 0.0, vals)
-    leaves = [_leaf_from_eigenpair(vals[t], vecs[:, t], n) for t in range(len(vals))]
-    return leaves, signs
+    return _leaves(vals, vecs, n), signs
 
 
 def truncate_factors(w: np.ndarray, delta_df: float, mode: str = "component") -> np.ndarray:
@@ -125,21 +134,24 @@ def second_factorization(
     """
     if not leaves:
         raise ValidationError("second_factorization needs at least one leaf")
-    n = leaves[0].shape[0]
+    shape = np.shape(leaves[0])
+    n = shape[0] if shape else 0
+    if any(np.shape(L) != (n, n) for L in leaves):
+        raise ValidationError("leaf matrices must be symmetric and N x N")
+    stack = np.asarray(leaves, dtype=float)
+    transposed = stack.transpose(0, 2, 1)
+    if np.any(np.max(np.abs(stack - transposed), axis=(1, 2)) > 1e-8):
+        raise ValidationError("leaf matrices must be symmetric and N x N")
     if signs is None:
         signs = [1] * len(leaves)
+    vals, vecs = _order_by_magnitude(*np.linalg.eigh(0.5 * (stack + transposed)))
     rotations, factors, kept_signs, ranks = [], [], [], []
-    for L, s in zip(leaves, signs):
-        L = np.asarray(L, dtype=float)
-        if L.shape != (n, n) or np.max(np.abs(L - L.T)) > 1e-8:
-            raise ValidationError("leaf matrices must be symmetric and N x N")
-        vals, vecs = np.linalg.eigh(0.5 * (L + L.T))
-        vals, vecs = _order_by_magnitude(vals, vecs)
-        w = truncate_factors(vals, delta_df, mode)
+    for u, lam, s in zip(vecs, vals, signs):
+        w = truncate_factors(lam, delta_df, mode)
         xi = int(np.count_nonzero(w))
         if xi == 0:
             continue
-        rotations.append(vecs)
+        rotations.append(u)
         factors.append(w)
         kept_signs.append(int(s))
         ranks.append(xi)

@@ -8,7 +8,13 @@ import pytest
 
 import hamfactor as hf
 from hamfactor.errors import ValidationError
-from hamfactor.oracle import MAX_FULL_SPACE_QUBITS, MAX_QUBITS, _one_body_operator, _operator_basis
+from hamfactor.oracle import (
+    MAX_FULL_SPACE_QUBITS,
+    MAX_QUBITS,
+    _ground_space,
+    _one_body_operator,
+    _operator_basis,
+)
 
 from conftest import data_path, make_instance, make_one_body
 
@@ -182,6 +188,43 @@ def test_sector_block_consistency():
     assert hf.ground_energy(full, 2) == pytest.approx(hf.ground_energy(direct, 2), abs=1e-12)
     with pytest.raises(ValidationError):
         hf.ground_energy(direct, 3)
+
+
+def two_ms(state, n):
+    """2M_s of an occupation string: up electrons (bits 0..n-1) minus down (bits n..2n-1)."""
+    return (state & ((1 << n) - 1)).bit_count() - (state >> n).bit_count()
+
+
+def test_ground_level_from_spin_block_matches_whole_sector():
+    for n in (2, 3, 4):
+        g, _ = make_instance(n, seed=40 + n)
+        ob = make_one_body(g, seed=40 + n, e_nuc=0.2)
+        full = hf.build_from_integrals(ob.k, g, ob.e_nuc)
+        for ne in range(1, 2 * n):
+            for hd in (full, hf.build_from_integrals(ob.k, g, ob.e_nuc, sector=ne)):
+                keep = [i for i, s in enumerate(hd.basis) if s.bit_count() == ne]
+                matrix = hd.matrix[np.ix_(keep, keep)]
+                energy = hf.ground_energy(hd, ne)
+                assert energy == pytest.approx(np.linalg.eigvalsh(matrix)[0], abs=1e-10)
+                e, psi, states = hf.ground_state(hd, ne)
+                assert states == tuple(hd.basis[i] for i in keep)
+                assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+                assert np.max(np.abs(matrix @ psi - e * psi)) <= 1e-9
+                outside = [i for i, s in enumerate(states) if two_ms(s, n) != ne % 2]
+                assert outside and not np.any(psi[outside])
+
+    # chain_n06's 6-electron ground level is a 5-fold multiplet, and its one
+    # 2M_s = 0 member is the whole level the spin block returns
+    g, h, e_nuc, _ = hf.parse_fcidump(data_path("chain_n06.fcidump"))
+    hd = hf.build_from_integrals(hf.derive_one_body(h, g, e_nuc).k, g, e_nuc, sector=6)
+    levels = np.linalg.eigvalsh(hd.matrix)
+    assert len(hd.basis) == 924
+    assert np.sum(levels <= levels[0] + 1e-8) == 5
+    energy, level, states = _ground_space(hd, 6)
+    assert level.shape == (924, 1)
+    assert energy == pytest.approx(levels[0], abs=1e-10)
+    assert np.max(np.abs(hd.matrix @ level - energy * level)) <= 1e-9
+    assert not np.any(level[[two_ms(s, 6) != 0 for s in states]])
 
 
 def squared_direction_reference(fact, one_body, sector):

@@ -88,3 +88,73 @@ def test_invalid_n_df():
     g, _ = make_instance(3, seed=0)
     with pytest.raises(ValidationError):
         hf.first_factorization(g, 0)
+
+
+def reference_second_factorization(leaves, delta_df=0.0, mode="component", signs=None):
+    """The per-leaf second factorization: one eigh, sign fix, tie sort and truncation per leaf."""
+    signs = [1] * len(leaves) if signs is None else signs
+    kept = []
+    for L, s in zip(leaves, signs):
+        vals, vecs = np.linalg.eigh(0.5 * (L + L.T))
+        order = np.argsort(-np.abs(vals), kind="stable")
+        vals, vecs = vals[order], vecs[:, order]
+        columns = []
+        for i in range(vecs.shape[1]):
+            v = vecs[:, i]
+            columns.append(-v if v[int(np.argmax(np.abs(v)))] < 0 else v)
+        vecs = np.column_stack(columns)
+        mags = np.abs(vals)
+        i = 0
+        while i < len(vals):
+            j = i + 1
+            while j < len(vals) and mags[j] == mags[i]:
+                j += 1
+            if j - i > 1:
+                sub = sorted(range(i, j), key=lambda c: tuple(vecs[:, c]))
+                vals[i:j] = vals[sub]
+                vecs[:, i:j] = vecs[:, sub]
+            i = j
+        w = hf.truncate_factors(vals, delta_df, mode)
+        if np.count_nonzero(w):
+            kept.append((vecs, w, s, int(np.count_nonzero(w))))
+    return kept
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_batched_second_factorization_matches_per_leaf_reference(small_instance):
+    n = 5
+    rng = np.random.default_rng(3)
+    random_leaves = [a + a.T for a in rng.standard_normal((6, n, n))]
+    tied_leaves = [
+        np.diag([1.0, -1.0, 0.0, 0.0, 0.0]),
+        np.eye(n),
+        np.diag([0.0, 2.0, 0.0, 0.0, -0.5]),
+        np.diag([0.25, -0.25, 0.25, -0.25, 1.0]),
+    ]
+    tiny = 1e-6 * random_leaves[0]  # truncates to rank 0 once delta_df > 0
+    cases = [
+        (random_leaves, 0.0, "component", None),
+        (random_leaves + tied_leaves, 0.0, "component", [1, -1, 1, 1, -1, 1, -1, 1, 1, -1]),
+        (tied_leaves + [tiny] + random_leaves, 1e-3, "component", None),
+        (random_leaves + [tiny] + tied_leaves, 0.5, "combined", None),
+        (hf.first_factorization(small_instance[0], 16), 1e-4, "component", None),
+    ]
+    for leaves, delta_df, mode, signs in cases:
+        fact = hf.second_factorization(leaves, delta_df, mode, signs=signs)
+        reference = reference_second_factorization(leaves, delta_df, mode, signs)
+        assert fact.n_leaves == len(reference)
+        for u, w, s, xi, (u_ref, w_ref, s_ref, xi_ref) in zip(
+            fact.rotations, fact.factors, fact.signs, fact.leaf_ranks, reference
+        ):
+            assert same_bits(u, u_ref) and same_bits(w, w_ref)
+            assert s == s_ref and xi == xi_ref
+    for delta_df, mode in ((1e-3, "component"), (0.5, "combined")):
+        assert hf.second_factorization([tiny, np.eye(n)], delta_df, mode).n_leaves == 1
+
+    for bad in ([np.eye(3), np.eye(2)], [np.eye(3), np.triu(np.ones((3, 3)))]):
+        with pytest.raises(ValidationError, match="leaf matrices must be symmetric and N x N"):
+            hf.second_factorization(bad)
