@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from .factorization import (
     factorization_from_dict,
     finite_array,
     finite_json,
+    load_factorization,
     read_record,
     reconstruct_tensor,
     save_factorization,
@@ -58,36 +60,48 @@ def _parse_ndf(text: str, n_orbitals: int) -> int:
     return value
 
 
-def _stage(name: str, exc: HamfactorError) -> HamfactorError:
-    exc.args = (f"[{name}] {exc.args[0]}" if exc.args else f"[{name}]",)
-    return exc
+@contextmanager
+def _stage(name: str):
+    """Label a failure inside the block with the CLI stage ``name``; the innermost wins.
+
+    OSError becomes a ValidationError (exit 2); OverflowError, which float ``**``
+    and ``math.ceil(inf)`` raise, a NumericalError (exit 3). Anything else is a bug.
+    """
+    try:
+        try:
+            yield
+        except OSError as exc:
+            raise ValidationError(str(exc)) from exc
+        except OverflowError as exc:
+            raise NumericalError(f"overflow: {exc}") from exc
+    except HamfactorError as exc:
+        if not hasattr(exc, "stage"):
+            exc.stage = name
+            exc.args = (f"[{name}] {exc}",)
+        raise
 
 
 def _emit(payload: dict, output: str | None) -> None:
-    try:
+    with _stage("write-output"):
         text = finite_json(payload, indent=1)
-    except NumericalError as exc:
-        raise _stage("write-output", exc)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        if output:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
     print(text)
 
 
 def _load_problem(path: str):
-    try:
-        g, h, e_nuc, metadata = parse_fcidump(path)
-        one_body = derive_one_body(h, g, e_nuc)
-    except HamfactorError as exc:
-        raise _stage("read-input", exc)
+    g, h, e_nuc, metadata = parse_fcidump(path)
+    one_body = derive_one_body(h, g, e_nuc)
     for warning in metadata["warnings"]:
         print(f"warning: [read-input] {path}: {warning}", file=sys.stderr)
     return g, one_body, metadata
 
 
-def _optimizer_config(args, rho: float) -> OptimizerConfig:
+def _optimizer_config(args, method: str) -> OptimizerConfig:
+    """The optimizer flags; --rho defaults to 0 for cdf and to 1e-5 for scdf and rcdf."""
     return OptimizerConfig(
-        rho=rho,
+        rho=args.rho if args.rho is not None else (0.0 if method == "cdf" else 1e-5),
         gamma=args.gamma,
         max_outer_iters=args.max_outer,
         init_mode=args.init,
@@ -98,37 +112,28 @@ def _optimizer_config(args, rho: float) -> OptimizerConfig:
     )
 
 
-def _default_rho(method: str, rho: float | None) -> float:
-    if rho is not None:
-        return rho
-    return 0.0 if method in ("xdf", "xdf-shift", "cdf") else 1e-5
-
-
-def _run_method(g, one_body, method: str, n_df: int, args):
+def _run_method(g, one_body, method: str, args):
     """Shared factorize driver; returns (fact, trace or None)."""
     n = g.n_orbitals
-    rho = _default_rho(method, args.rho)
+    n_df = _parse_ndf(args.ndf, n)
     trace = None
-    try:
-        if method in ("xdf", "xdf-shift") and n_df > n * n:
-            print(f"note: --ndf clamped to N^2 = {n * n} for {method}", file=sys.stderr)
-            n_df = n * n
-        if method == "xdf":
-            fact = explicit_factorization(g, n_df, args.delta_df, args.truncation_mode)
-        elif method == "xdf-shift":
-            a1_prime, _ = one_body_shift(one_body.f_eigs)
-            _, fact = global_two_body_shift(g, n_df, args.delta_df, args.truncation_mode)
-            fact = fact.with_one_body_shift(a1_prime)
-        elif method == "scdf":
-            fact, trace = optimize_scdf(g, n_df, _optimizer_config(args, rho))
-            a1_prime, _ = one_body_shift(one_body.f_eigs)
-            fact = fact.with_one_body_shift(a1_prime)
-        elif method in ("cdf", "rcdf"):
-            fact, trace = optimize_cdf(g, n_df, _optimizer_config(args, rho))
-        else:
-            raise ValidationError(f"unknown method {method!r}")
-    except HamfactorError as exc:
-        raise _stage("factorize", exc)
+    if method in ("xdf", "xdf-shift") and n_df > n * n:
+        print(f"note: --ndf clamped to N^2 = {n * n} for {method}", file=sys.stderr)
+        n_df = n * n
+    if method == "xdf":
+        fact = explicit_factorization(g, n_df, args.delta_df, args.truncation_mode)
+    elif method == "xdf-shift":
+        a1_prime, _ = one_body_shift(one_body.f_eigs)
+        _, fact = global_two_body_shift(g, n_df, args.delta_df, args.truncation_mode)
+        fact = fact.with_one_body_shift(a1_prime)
+    elif method == "scdf":
+        fact, trace = optimize_scdf(g, n_df, _optimizer_config(args, method))
+        a1_prime, _ = one_body_shift(one_body.f_eigs)
+        fact = fact.with_one_body_shift(a1_prime)
+    elif method in ("cdf", "rcdf"):
+        fact, trace = optimize_cdf(g, n_df, _optimizer_config(args, method))
+    else:
+        raise ValidationError(f"unknown method {method!r}")
     return fact, trace
 
 
@@ -175,30 +180,33 @@ def _resolved_config(args, skip=("func",)) -> dict:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        n_orbitals=args.orbitals,
-        n_components=args.components,
-        rng_seed=args.seed,
-        coulomb_weight=args.coulomb,
-    )
-    g, _ = synthesize_instance(spec)
-    rng = np.random.default_rng(args.seed + 1)
-    a = rng.standard_normal((args.orbitals, args.orbitals)) / args.orbitals
-    h = 0.5 * (a + a.T) + np.diag(np.linspace(-2.0, -1.0, args.orbitals))
-    nelec = args.nelec if args.nelec is not None else args.orbitals
-    write_fcidump(args.output, g, h, args.e_nuc, nelec=nelec)
+    with _stage("synth"):
+        spec = SyntheticSpec(
+            n_orbitals=args.orbitals,
+            n_components=args.components,
+            rng_seed=args.seed,
+            coulomb_weight=args.coulomb,
+        )
+        g, _ = synthesize_instance(spec)
+        rng = np.random.default_rng(args.seed + 1)
+        a = rng.standard_normal((args.orbitals, args.orbitals)) / args.orbitals
+        h = 0.5 * (a + a.T) + np.diag(np.linspace(-2.0, -1.0, args.orbitals))
+        nelec = args.nelec if args.nelec is not None else args.orbitals
+    with _stage("write-output"):
+        write_fcidump(args.output, g, h, args.e_nuc, nelec=nelec)
     _emit({"written": args.output, "config": _resolved_config(args)}, None)
     return 0
 
 
 def cmd_factorize(args) -> int:
-    g, one_body, _ = _load_problem(args.input)
-    n_df = _parse_ndf(args.ndf, g.n_orbitals)
-    fact, trace = _run_method(g, one_body, args.method, n_df, args)
-    summary = _summarize(fact, g, one_body)
+    with _stage("read-input"):
+        g, one_body, _ = _load_problem(args.input)
+    with _stage("factorize"):
+        fact, trace = _run_method(g, one_body, args.method, args)
+        summary = _summarize(fact, g, one_body)
     config = _resolved_config(args)
     output = args.output or f"{args.input}.{args.method}.json"
-    try:
+    with _stage("write-output"):
         save_factorization(
             output,
             fact,
@@ -213,64 +221,46 @@ def cmd_factorize(args) -> int:
             lines = [finite_json(asdict(row)) + "\n" for row in trace]
             with open(args.trace, "w") as fh:
                 fh.writelines(lines)
-    except OSError as exc:
-        raise ValidationError(f"[write-output] {exc}")
-    except NumericalError as exc:
-        raise _stage("write-output", exc)
     _emit({"summary": summary, "output": output, "config": config}, None)
     return 0
-
-
-def _read_fact(path: str):
-    """(raw record dict, parsed factorization) of a saved record."""
-    try:
-        data = read_record(path)
-        return data, factorization_from_dict(data)
-    except HamfactorError as exc:
-        raise _stage("read-input", exc)
 
 
 def _check_orbitals(fact, eigs: np.ndarray, source: str) -> None:
     """Exit 2 unless ``source`` gives one one-body eigenvalue per orbital of ``fact``."""
     if eigs.shape != (fact.n_orbitals,):
         raise ValidationError(
-            f"[read-input] the factorization has {fact.n_orbitals} orbitals but the "
+            f"the factorization has {fact.n_orbitals} orbitals but the "
             f"one-body eigenvalues from {source} have shape {eigs.shape}"
         )
 
 
 def cmd_resources(args) -> int:
-    data, fact = _read_fact(args.fact)
-    if args.fcidump:
-        eigs = _load_problem(args.fcidump)[1].f_eigs
-    elif "one_body_eigs" in data:
-        try:
+    with _stage("read-input"):
+        data = read_record(args.fact)
+        fact = factorization_from_dict(data)
+        if args.fcidump:
+            eigs = _load_problem(args.fcidump)[1].f_eigs
+        elif "one_body_eigs" in data:
             eigs = finite_array(data["one_body_eigs"], "one_body_eigs")
-        except ValidationError as exc:
-            raise _stage("read-input", exc)
-    else:
-        raise ValidationError(
-            "[read-input] factorization file lacks one-body data; pass --fcidump"
+        else:
+            raise ValidationError("factorization file lacks one-body data; pass --fcidump")
+        _check_orbitals(fact, eigs, args.fcidump or "its one_body_eigs field")
+    with _stage("resources"):
+        if args.kr != "auto":
+            try:
+                k_r = int(args.kr)
+            except ValueError:
+                raise ValidationError(f"--kr must be 'auto' or a power of 2, got {args.kr!r}")
+        else:
+            k_r = None
+        config = CostModelConfig(
+            bits_state_prep=args.bits_state_prep,
+            bits_rotations=args.beta,
+            epsilon=args.eps,
+            k_r=k_r,
         )
-    _check_orbitals(fact, eigs, args.fcidump or "its one_body_eigs field")
-    if args.kr != "auto":
-        try:
-            k_r = int(args.kr)
-        except ValueError:
-            raise ValidationError(f"--kr must be 'auto' or a power of 2, got {args.kr!r}")
-    else:
-        k_r = None
-    config = CostModelConfig(
-        bits_state_prep=args.bits_state_prep,
-        bits_rotations=args.beta,
-        epsilon=args.eps,
-        k_r=k_r,
-    )
-    try:
         est = estimate(fact, eigs, config)
         sweep = kr_tradeoff_sweep(fact, eigs, config)
-    except HamfactorError as exc:
-        raise _stage("resources", exc)
     _emit(
         {
             "estimate": est.to_dict(),
@@ -287,34 +277,37 @@ def _electron_count(args, metadata: dict) -> int:
     """The FCI sector: --nelec, else the FCIDUMP header's NELEC (0 means unset)."""
     if args.nelec is not None:
         if args.nelec < 1:
-            raise ValidationError(f"[fci] --nelec must be at least 1, got {args.nelec}")
+            raise ValidationError(f"--nelec must be at least 1, got {args.nelec}")
         return args.nelec
     nelec = metadata.get("NELEC", 0)
     if not isinstance(nelec, int) or nelec < 0:
-        raise ValidationError(
-            f"[read-input] {args.fcidump}: header NELEC={nelec!r} is not a non-negative integer"
-        )
+        with _stage("read-input"):
+            raise ValidationError(
+                f"{args.fcidump}: header NELEC={nelec!r} is not a non-negative integer"
+            )
     if nelec == 0:
-        raise ValidationError("[fci] electron count unknown; pass --nelec")
+        raise ValidationError("electron count unknown; pass --nelec")
     return nelec
 
 
 def cmd_verify(args) -> int:
-    g, one_body, metadata = _load_problem(args.fcidump)
-    _, fact = _read_fact(args.fact)
-    _check_orbitals(fact, one_body.f_eigs, args.fcidump)
-    error = frobenius_error(g, reconstruct_tensor(fact))
-    gnorm = float(np.linalg.norm(g.g))
-    report: dict = {
-        "method": fact.method_tag,
-        "frobenius_error": error,
-        "relative_frobenius_error": error / gnorm if gnorm else 0.0,
-    }
+    with _stage("read-input"):
+        g, one_body, metadata = _load_problem(args.fcidump)
+        fact = load_factorization(args.fact)
+        _check_orbitals(fact, one_body.f_eigs, args.fcidump)
+    with _stage("verify"):
+        error = frobenius_error(g, reconstruct_tensor(fact))
+        gnorm = float(np.linalg.norm(g.g))
+        report: dict = {
+            "method": fact.method_tag,
+            "frobenius_error": error,
+            "relative_frobenius_error": error / gnorm if gnorm else 0.0,
+        }
     if args.fci:
-        if isinstance(fact, FullRankFactorization):
-            raise ValidationError("[fci] the FCI check supports rank-1 factorizations only")
-        nelec = _electron_count(args, metadata)
-        try:
+        with _stage("fci"):
+            if isinstance(fact, FullRankFactorization):
+                raise ValidationError("the FCI check supports rank-1 factorizations only")
+            nelec = _electron_count(args, metadata)
             exact_hd = build_from_integrals(one_body.k, g, one_body.e_nuc, sector=nelec)
             e_exact, exact_level, _ = _ground_space(exact_hd, nelec)
             enc_hd = build_from_factorization(fact, one_body, sector=nelec)
@@ -347,8 +340,6 @@ def cmd_verify(args) -> int:
                 "exact_eigenvector_overlap": float(np.linalg.norm(psi_enc @ exact_level)),
                 "correction": {"a1": correction.a1, "a2": correction.a2},
             }
-        except HamfactorError as exc:
-            raise _stage("fci", exc)
     _emit({**report, "config": _resolved_config(args)}, args.output)
     return 0
 
@@ -371,11 +362,13 @@ def _fit_loglog(sizes, values) -> dict:
 def cmd_sweep(args) -> int:
     points = []
     for path in args.inputs:
-        g, one_body, _ = _load_problem(path)
+        with _stage("read-input"):
+            g, one_body, _ = _load_problem(path)
         for method in args.method:
-            n_df = _parse_ndf(args.ndf, g.n_orbitals)
-            fact, _ = _run_method(g, one_body, method, n_df, args)
-            est = estimate(fact, one_body, CostModelConfig(epsilon=args.eps))
+            with _stage("factorize"):
+                fact, _ = _run_method(g, one_body, method, args)
+            with _stage("resources"):
+                est = estimate(fact, one_body, CostModelConfig(epsilon=args.eps))
             points.append(
                 {
                     "input": path,

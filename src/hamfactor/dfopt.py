@@ -360,7 +360,10 @@ def _rotation_step(cost_and_grad_u, x: np.ndarray, outer: int) -> tuple[np.ndarr
         cost, grad_u = cost_and_grad_u(_rotations(eig))
         return cost, _x_to_flat(_pull_back(eig, grad_u))
 
-    x = _flat_to_x(_lbfgs(objective, _x_to_flat(x)), t, n)
+    try:
+        x = _flat_to_x(_lbfgs(objective, _x_to_flat(x)), t, n)
+    except np.linalg.LinAlgError as exc:
+        raise OptimizationError(f"generator eigendecomposition failed: {exc}", iteration=outer) from exc
     u = _expm_stack(x)
     err = max(np.max(np.abs(ut.T @ ut - np.eye(n))) for ut in u)
     if err > ORTHOGONALITY_TOL:

@@ -26,6 +26,8 @@ import numpy as np
 from .errors import FcidumpParseError, ValidationError
 from .tensors import TwoElectronTensor
 
+WRITE_ZERO_TOL = 0.0
+
 _HEADER_FIELD = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\s*=\s*([^=]*?)(?=(?:,?\s*[A-Za-z][A-Za-z0-9_]*\s*=)|$)")
 
 
@@ -66,7 +68,7 @@ def parse_fcidump(path: str) -> tuple[TwoElectronTensor, np.ndarray, float, dict
     try:
         with open(path, "r") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
 
     header_lines = []
@@ -150,11 +152,10 @@ def write_fcidump(
     e_nuc: float,
     nelec: int = 0,
     ms2: int = 0,
-    zero_tol: float = 0.0,
 ) -> None:
     """Write an FCIDUMP file with 8-fold-unique records and 16-digit values.
 
-    Entries with |value| <= zero_tol are skipped. Round-tripping through
+    Entries with |value| <= WRITE_ZERO_TOL are skipped. Round-tripping through
     parse_fcidump reproduces the tensors to better than 1e-12.
     """
     g = two_electron.g
@@ -178,10 +179,10 @@ def write_fcidump(
                     lmax = j if k == i else k
                     for l in range(lmax + 1):
                         v = g[i, j, k, l]
-                        if abs(v) > zero_tol:
+                        if abs(v) > WRITE_ZERO_TOL:
                             fh.write(record(v, i + 1, j + 1, k + 1, l + 1))
         for i in range(n):
             for j in range(i + 1):
-                if abs(h[i, j]) > zero_tol:
+                if abs(h[i, j]) > WRITE_ZERO_TOL:
                     fh.write(record(h[i, j], i + 1, j + 1, 0, 0))
         fh.write(record(float(e_nuc), 0, 0, 0, 0))

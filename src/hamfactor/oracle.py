@@ -47,7 +47,7 @@ import scipy.sparse as sp
 from .errors import ValidationError
 from .factorization import DoubleFactorization, reconstruct_tensor
 from .shift import shifted_tensor
-from .tensors import OneBodyTensors
+from .tensors import OneBodyTensors, _checked_eigh
 
 MAX_QUBITS = 14
 MAX_FULL_SPACE_QUBITS = 12
@@ -200,7 +200,7 @@ def _spin_block_level(
     basis = np.asarray(states)
     two_ms = np.bitwise_count(basis & ((1 << n) - 1)).astype(int) - np.bitwise_count(basis >> n)
     keep = np.flatnonzero(two_ms == n_electrons % 2)
-    vals, vecs = np.linalg.eigh(block[np.ix_(keep, keep)])
+    vals, vecs = _checked_eigh(block[np.ix_(keep, keep)], "Hamiltonian matrix")
     low = vals <= vals[0] + 1e-8 * max(1.0, abs(vals[0]))
     level = np.zeros((len(basis), int(np.count_nonzero(low))))
     level[keep] = vecs[:, low]

@@ -72,35 +72,22 @@ def qrom_cost(n_records: int, bits: int, k: int) -> tuple[int, int]:
     return toffolis, ancillae
 
 
-def optimal_k(
-    n_records: int,
-    bits: int,
-    objective: str = "toffoli",
-    ancilla_cap: int | None = None,
-) -> int:
+def optimal_k(n_records: int, bits: int) -> int:
     """Best power-of-2 duplication factor for a lookup.
 
-    ``toffoli`` scans every power of 2 up to the record count (the minimum
-    sits at a power of 2 bracketing sqrt(n_records/bits); the scan is cheap
-    and robust to the ceilings), ties resolved toward smaller k since that
-    uses fewer ancillae. ``qubit_cap`` returns the largest k whose ancilla
-    count fits ``ancilla_cap``.
+    Scans every power of 2 up to the record count (the minimum sits at a
+    power of 2 bracketing sqrt(n_records/bits); the scan is cheap and robust
+    to the ceilings), ties resolved toward smaller k since that uses fewer
+    ancillae.
     """
     candidates = _power_of_two_candidates(n_records)
-    if objective == "toffoli":
-        best = candidates[0]
-        best_cost = qrom_cost(n_records, bits, best)[0]
-        for k in candidates[1:]:
-            cost = qrom_cost(n_records, bits, k)[0]
-            if cost < best_cost:
-                best, best_cost = k, cost
-        return best
-    if objective == "qubit_cap":
-        if ancilla_cap is None:
-            raise ValidationError("qubit_cap objective needs ancilla_cap")
-        fitting = [k for k in candidates if qrom_cost(n_records, bits, k)[1] <= ancilla_cap]
-        return max(fitting) if fitting else 1
-    raise ValidationError(f"unknown objective {objective!r}")
+    best = candidates[0]
+    best_cost = qrom_cost(n_records, bits, best)[0]
+    for k in candidates[1:]:
+        cost = qrom_cost(n_records, bits, k)[0]
+        if cost < best_cost:
+            best, best_cost = k, cost
+    return best
 
 
 def qrom_erasure_cost(n_records: int) -> int:

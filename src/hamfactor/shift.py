@@ -22,6 +22,8 @@ from .tensors import TwoElectronTensor, _freeze
 from .xdf import second_factorization, signed_first_factorization, truncate_factors
 
 SPLIT_TOL = 1e-12
+SHIFT_SCAN_POINTS = 17
+SHIFT_POLISH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -155,15 +157,14 @@ def global_two_body_shift(
     n_df: int,
     delta_df: float = 0.0,
     mode: str = "component",
-    n_scan: int = 17,
-    tol: float = 1e-6,
 ) -> tuple[float, DoubleFactorization]:
     """Find a2′ minimizing the von-Burg 1-norm of the shifted eigendecomposition.
 
-    A coarse scan over the range of the tensor's (pp|rr) diagonal (plus the
-    unshifted point, the diagonal's median and mean) brackets the optimum;
-    golden-section search then polishes it to ``tol``. The returned norm never
-    exceeds the a2′ = 0 value because 0 is always a scan candidate.
+    A coarse scan of ``SHIFT_SCAN_POINTS`` points over the range of the
+    tensor's (pp|rr) diagonal (plus the unshifted point, the diagonal's median
+    and mean) brackets the optimum; golden-section search then polishes it to
+    ``SHIFT_POLISH_TOL``. The returned norm never exceeds the a2′ = 0 value
+    because 0 is always a scan candidate.
     """
     from .norms import two_body_burg_norm
 
@@ -175,7 +176,7 @@ def global_two_body_shift(
     if hi - lo < 1e-12:
         lo, hi = lo - 0.5 * max(abs(lo), 1.0), hi + 0.5 * max(abs(hi), 1.0)
     candidates = sorted(
-        set(np.linspace(lo, hi, n_scan).tolist() + [0.0, float(np.median(diag)), float(diag.mean())])
+        set(np.linspace(lo, hi, SHIFT_SCAN_POINTS).tolist() + [0.0, float(np.median(diag)), float(diag.mean())])
     )
     values = [objective(c) for c in candidates]
     best = int(np.argmin(values))
@@ -184,7 +185,7 @@ def global_two_body_shift(
     if right > left:
         res = minimize_scalar(
             objective, bracket=None, bounds=(left, right), method="bounded",
-            options={"xatol": tol},
+            options={"xatol": SHIFT_POLISH_TOL},
         )
         polished, polished_val = float(res.x), float(res.fun)
     else:

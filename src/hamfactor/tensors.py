@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 SYMMETRY_TOL = 1e-10
 
@@ -26,6 +26,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(a, dtype=float))
     out.flags.writeable = False
     return out
+
+
+def _checked_eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of ``a``; a non-finite matrix or spectrum, or no convergence, raises NumericalError."""
+    if not np.all(np.isfinite(a)):
+        raise NumericalError(f"{what} has non-finite entries")
+    try:
+        vals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition of {what} failed: {exc}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError(f"{what} has non-finite eigenvalues; its entries overflow")
+    return vals, vecs
 
 
 def check_two_electron_symmetry(g: np.ndarray, tol: float = SYMMETRY_TOL) -> float:
@@ -100,7 +113,7 @@ def derive_one_body(h: np.ndarray, g: TwoElectronTensor, e_nuc: float = 0.0) -> 
     """Reduce (h, g, e_nuc) to the effective one-body data used downstream.
 
     Raises ValidationError if h or e_nuc is not finite, h is not symmetric
-    within 1e-10 or shapes disagree.
+    within 1e-10 or shapes disagree, and NumericalError if f overflows.
     """
     h = np.asarray(h, dtype=float)
     n = g.n_orbitals
@@ -115,7 +128,7 @@ def derive_one_body(h: np.ndarray, g: TwoElectronTensor, e_nuc: float = 0.0) -> 
     k = h - 0.5 * np.einsum("prrq->pq", g.g)
     f = k + np.einsum("pqrr->pq", g.g)
     f = 0.5 * (f + f.T)  # exact symmetrization against roundoff
-    eigs, _ = np.linalg.eigh(f)  # not eigvalsh: it differs in the last bits, and records store f°
+    eigs, _ = _checked_eigh(f, "one-body matrix f")  # not eigvalsh: it differs in the last bits, and records store f°
     return OneBodyTensors(k=k, f=f, f_eigs=eigs, e_nuc=float(e_nuc))
 
 

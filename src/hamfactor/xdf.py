@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NonPSDTensor, ValidationError
 from .factorization import DoubleFactorization, Thresholds
-from .tensors import TwoElectronTensor
+from .tensors import TwoElectronTensor, _checked_eigh
 
 logger = logging.getLogger(__name__)
 
@@ -58,8 +58,7 @@ def _eigendecompose_matrix_form(g: TwoElectronTensor, n_df: int) -> tuple[np.nda
     n = g.n_orbitals
     if not 1 <= n_df <= n * n:
         raise ValidationError(f"n_df must be in [1, N^2={n * n}], got {n_df}")
-    vals, vecs = np.linalg.eigh(g.as_matrix())
-    vals, vecs = _order_by_magnitude(vals, vecs)
+    vals, vecs = _order_by_magnitude(*_checked_eigh(g.as_matrix(), "two-electron matrix form"))
     return vals[:n_df], vecs[:, :n_df]
 
 
@@ -144,7 +143,7 @@ def second_factorization(
         raise ValidationError("leaf matrices must be symmetric and N x N")
     if signs is None:
         signs = [1] * len(leaves)
-    vals, vecs = _order_by_magnitude(*np.linalg.eigh(0.5 * (stack + transposed)))
+    vals, vecs = _order_by_magnitude(*_checked_eigh(0.5 * (stack + transposed), "leaf matrices"))
     rotations, factors, kept_signs, ranks = [], [], [], []
     for u, lam, s in zip(vecs, vals, signs):
         w = truncate_factors(lam, delta_df, mode)

@@ -1,9 +1,15 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hamfactor as hf
 from hamfactor.cli import main
@@ -405,3 +411,214 @@ def test_sweep_fits_and_single_point_note(tmp_path, capsys):
     assert code == 0
     assert payload["fits"]["xdf"]["lambda"]["slope"] is None
     assert "note" in payload["fits"]["xdf"]["lambda"]
+
+
+_STAGE_LABEL = re.compile(r"\[(read-input|synth|factorize|resources|verify|fci|write-output)\]")
+
+
+def assert_one_stage_label(code, err):
+    """stderr of an exit 2 or 3 ends in one labelled error line; returns its stage."""
+    last = err.splitlines()[-1]
+    prefix = {2: "error: ", 3: "numerical failure: "}[code]
+    assert last.startswith(prefix + "["), last
+    labels = _STAGE_LABEL.findall(last)
+    assert len(labels) == 1 and last.startswith(f"{prefix}[{labels[0]}] "), last
+    return labels[0]
+
+
+def _write_record(record, path, edit):
+    data = json.loads(record.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def _huge_w(data):
+    data["leaves"][0]["W"] = [1e200] * 4
+
+
+def _huge_alpha(data):
+    data["method"] = "SCDF"
+    data["leaves"][0]["alpha"] = 1e308
+
+
+def _write_integrals(dump, path, values, norb=None):
+    """Copy of ``dump`` with new values for the records keyed "i j k l", optionally a new NORB."""
+    lines = dump.read_text().splitlines()
+    for at, line in enumerate(lines):
+        indices = " ".join(line.split()[1:])
+        if indices in values:
+            lines[at] = f"{values[indices]} {indices}"
+    if norb is not None:
+        lines[0] = re.sub(r"NORB=\s*\d+,", f"NORB={norb},", lines[0])
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, stage",
+    [
+        (["resources", "{record}", "--output", "{missing}"], 2, "write-output"),
+        (["verify", "{record}", "{dump}", "--output", "{missing}"], 2, "write-output"),
+        (["sweep", "{dump}", "--method", "xdf", "--output", "{missing}"], 2, "write-output"),
+        (["synth", "{missing}", "--orbitals", "3", "--components", "3"], 2, "write-output"),
+        (["factorize", "{binary}", "--method", "xdf"], 2, "read-input"),
+        (["resources", "{huge_w}"], 3, "resources"),
+        (["verify", "{huge_w}", "{dump}"], 2, "verify"),
+        (["resources", "{huge_alpha}"], 3, "resources"),
+        (["verify", "{huge_alpha}", "{dump}", "--fci"], 3, "fci"),
+        (["factorize", "{dump}", "--method", "xdf", "--ndf", "abc"], 2, "factorize"),
+        (["resources", "{record}", "--kr", "3"], 2, "resources"),
+        (["resources", "{record}", "--kr", "x"], 2, "resources"),
+        (["resources", "{record}", "--eps", "0"], 2, "resources"),
+        (["synth", "{tmp}/z.fcidump", "--orbitals", "0", "--components", "1"], 2, "synth"),
+        # found by test_fuzzed_inputs_exit_cleanly: each died with LinAlgError
+        (["factorize", "{f_overflow}", "--method", "xdf"], 3, "read-input"),
+        (["factorize", "{eigs_overflow}", "--method", "xdf-shift"], 3, "factorize"),
+        (["factorize", "{first_eigh_fails}", "--method", "xdf-shift"], 3, "factorize"),
+        (["factorize", "{second_eigh_fails}", "--method", "xdf-shift"], 3, "factorize"),
+        (["factorize", "{one_body_eigh_fails}", "--method", "xdf"], 3, "read-input"),
+        (["factorize", "{huge_g}", "--method", "scdf", "--max-outer", "1", "--ndf", "4"], 3, "factorize"),
+        (["factorize", "{huge_g}", "--method", "cdf", "--max-outer", "1", "--ndf", "4"], 3, "factorize"),
+    ],
+    ids=[
+        "resources_output", "verify_output", "sweep_output", "synth_output", "non_utf8_fcidump",
+        "huge_w_resources", "huge_w_verify", "huge_alpha_resources", "huge_alpha_verify_fci",
+        "ndf_abc", "kr_3", "kr_x", "eps_0", "synth_orbitals_0",
+        "f_overflow", "eigs_overflow", "first_eigh_fails", "second_eigh_fails", "one_body_eigh_fails",
+        "scdf_generator_eigh_fails", "cdf_generator_eigh_fails",
+    ],
+)
+def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, argv, code, stage):
+    dump, record = xdf_record
+    paths = {"dump": dump, "record": record, "tmp": tmp_path, "missing": tmp_path / "missing" / "x"}
+    paths.update({name: tmp_path / f"{name}.input" for name in (
+        "binary", "huge_w", "huge_alpha", "f_overflow", "eigs_overflow",
+        "first_eigh_fails", "second_eigh_fails", "one_body_eigh_fails", "huge_g",
+    )})
+    paths["binary"].write_bytes(b"\xff\xfe garbage\n")
+    _write_record(record, paths["huge_w"], _huge_w)
+    _write_record(record, paths["huge_alpha"], _huge_alpha)
+    _write_integrals(dump, paths["f_overflow"], {"4 4 3 1": "1e308"})
+    _write_integrals(dump, paths["eigs_overflow"], {"2 1 2 1": "1e308"})
+    _write_integrals(dump, paths["first_eigh_fails"], {"2 1 1 1": "1e200"}, norb=5)
+    _write_integrals(dump, paths["second_eigh_fails"], {"1 1 1 1": "-7.548541088292259e+287"})
+    _write_integrals(dump, paths["one_body_eigh_fails"], {"3 1 1 1": "2.8159720981543717e+235", "4 2 1 1": "4"})
+    _write_integrals(dump, paths["huge_g"], {"1 1 1 1": "1e200"})
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert assert_one_stage_label(code, capsys.readouterr().err) == stage
+
+
+# Boundary fuzzing: mutate up to three FCIDUMP entries or one record field and
+# run a command on the result. N = 4 inputs and NORB <= 8 keep every tensor
+# and dense oracle small; examples are derandomized so tier-1 runs repeat.
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 1e-300, 1e200, -1e200, 1e308, -1e308]),
+    st.integers(-3, 10),
+)
+_JSON_VALUES = st.one_of(
+    _NUMBERS, st.text(max_size=3), st.none(), st.lists(_NUMBERS, max_size=5),
+)
+
+
+@st.composite
+def _fcidump_edit(draw, n_lines):
+    kind = draw(st.sampled_from(["value", "index", "header"]))
+    if kind == "header":
+        key = draw(st.sampled_from(["NORB", "NELEC", "MS2"]))
+        value = draw(st.one_of(st.integers(-2, 8), st.sampled_from(["abc", "2.5", "", "3,4"])))
+        return kind, key, str(value)
+    line = draw(st.integers(4, n_lines - 1))
+    if kind == "value":
+        return kind, line, repr(draw(_NUMBERS))
+    return kind, line, (draw(st.integers(1, 4)), str(draw(st.integers(-2, 9))))
+
+
+def _apply_fcidump_edit(lines, edit):
+    kind, where, value = edit
+    if kind == "header":
+        lines[0] = re.sub(rf"{where}=\s*[^,]*,", f"{where}={value},", lines[0])
+        return
+    parts = lines[where].split()
+    if kind == "value":
+        parts[0] = value
+    else:
+        parts[value[0]] = value[1]
+    lines[where] = " ".join(parts)
+
+
+@st.composite
+def _record_edit(draw, n_leaves):
+    field = draw(st.sampled_from(["W", "U", "alpha", "sign", "xi", "n_orbitals", "method"]))
+    if field == "n_orbitals":
+        return field, None, draw(st.one_of(st.integers(-1, 8), _JSON_VALUES))
+    if field == "method":
+        return field, None, draw(st.one_of(st.sampled_from(["XDF", "SCDF", "CDF", "RCDF", "xdf"]), _JSON_VALUES))
+    leaf = draw(st.integers(0, n_leaves - 1))
+    if field in ("W", "U") and draw(st.booleans()):
+        return field, (leaf, draw(st.integers(0, 3)), draw(st.integers(0, 3))), draw(_NUMBERS)
+    return field, (leaf,), draw(_JSON_VALUES)
+
+
+def _apply_record_edit(data, edit):
+    field, where, value = edit
+    if where is None:
+        data[field] = value
+    elif len(where) == 1:
+        data["leaves"][where[0]][field] = value
+    elif field == "W":
+        data["leaves"][where[0]]["W"][where[1]] = value
+    else:
+        data["leaves"][where[0]]["U"][where[1]][where[2]] = value
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_inputs_exit_cleanly(xdf_record, data):
+    dump, record = xdf_record
+    lines = dump.read_text().splitlines()
+    leaves = json.loads(record.read_text())["leaves"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        bad_dump, bad_record = tmp / "fuzz.fcidump", tmp / "fuzz.json"
+        bad_dump.write_text(dump.read_text())
+        bad_record.write_text(record.read_text())
+        if data.draw(st.booleans(), label="mutate the FCIDUMP"):
+            for edit in data.draw(st.lists(_fcidump_edit(len(lines)), min_size=1, max_size=3)):
+                _apply_fcidump_edit(lines, edit)
+            bad_dump.write_text("\n".join(lines) + "\n")
+            commands = [
+                ["factorize", str(bad_dump), "--method", "xdf", "--output", str(tmp / "out.json")],
+                ["factorize", str(bad_dump), "--method", "xdf-shift", "--output", str(tmp / "out.json")],
+                ["verify", str(record), str(bad_dump), "--fci"],
+                ["resources", str(record), "--fcidump", str(bad_dump)],
+                ["factorize", str(bad_dump), "--method", "scdf", "--max-outer", "1", "--ndf", "4",
+                 "--output", str(tmp / "out.json")],
+                ["factorize", str(bad_dump), "--method", "cdf", "--max-outer", "1", "--ndf", "4",
+                 "--output", str(tmp / "out.json")],
+            ]
+        else:
+            _write_record(
+                record, bad_record,
+                lambda rec: _apply_record_edit(rec, data.draw(_record_edit(len(leaves)))),
+            )
+            commands = [
+                ["resources", str(bad_record)],
+                ["verify", str(bad_record), str(dump)],
+                ["verify", str(bad_record), str(dump), "--fci"],
+            ]
+        argv = data.draw(st.sampled_from(commands), label="command")
+        code, out, err = _run_main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert_one_stage_label(code, err)

@@ -55,16 +55,6 @@ def test_optimal_k_matches_exhaustive_sweep(exponent, bits):
     assert hf.qrom_cost(n, bits, best)[0] == exhaustive
 
 
-def test_optimal_k_qubit_cap():
-    # ancilla counts at 128 records, 16 bits: k=1 -> 7, k=2 -> 22, k=4 -> 53, k=8 -> 116
-    assert hf.optimal_k(128, 16, objective="qubit_cap", ancilla_cap=53) == 4
-    assert hf.optimal_k(128, 16, objective="qubit_cap", ancilla_cap=10) == 1
-    with pytest.raises(ValidationError):
-        hf.optimal_k(128, 16, objective="qubit_cap")
-    with pytest.raises(ValidationError):
-        hf.optimal_k(128, 16, objective="cheapest")
-
-
 def test_qrom_erasure_width_free():
     # min_k ceil(128/k) + k - 1 over powers of 2: k=8 and k=16 both give 23
     assert qrom_erasure_cost(128) == 23
