@@ -49,8 +49,8 @@ from .errors import OptimizationError, ValidationError
 from .factorization import DoubleFactorization, FullRankFactorization, Thresholds, _leaf_matrices
 from .norms import two_body_burg_norm
 from .shift import apply_alpha_threshold
-from .tensors import TwoElectronTensor
-from .xdf import first_factorization, second_factorization, truncate_factors
+from .tensors import TwoElectronTensor, _packing
+from .xdf import _psd_leaves, second_factorization, truncate_factors
 
 logger = logging.getLogger(__name__)
 
@@ -411,7 +411,9 @@ def _init_state(
         w = scale * rng.standard_normal((n_df, n))
         return x, w
     seed_leaves = min(n_df, n * n)
-    base = second_factorization(first_factorization(g, seed_leaves))
+    # the seed keeps the N^2 x N^2 form: the optimizers amplify roundoff, so
+    # a packed seed would move every iterate
+    base = second_factorization(_psd_leaves(g.as_matrix(), n, seed_leaves))
     x = np.zeros((n_df, n, n))
     w = np.zeros((n_df, n))
     for t in range(base.n_leaves):
@@ -519,25 +521,15 @@ def optimize_scdf(
     return apply_alpha_threshold(fact, config.delta_alpha), trace
 
 
-def _packing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Isometric packing of an n x n symmetric matrix M.
-
-    Returns the upper-triangle indices (i ≤ j) and the weights w (1 on, √2
-    off the diagonal) for which the vector w·M[i, j] has M's Frobenius norm.
-    """
-    i, j = np.triu_indices(n)
-    return i, j, np.where(i == j, 1.0, np.sqrt(2.0))
-
-
-def _reduced_v_design(gmat: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reduced_v_design(gpacked: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The V-step least squares restricted to symmetric cores and symmetric tensors.
 
     Rows are the isometric packing of 8-fold symmetric N⁴ tensors: pair rows
     p ≤ q weighted √2 off the diagonal, then the upper triangle of pair x
     pair, again weighted √2 off the diagonal. Columns are the orthonormal
     symmetric cores per leaf, k ≤ l, i.e. (C⊗C)(e_k e_l^T + e_l e_k^T)/√2 off
-    the diagonal. Returns (design, packed g), M(M+1)/2 x T·N(N+1)/2 with
-    M = N(N+1)/2.
+    the diagonal. ``gpacked`` is g's packed matrix form, M x M with
+    M = N(N+1)/2. Returns (design, packed g), M(M+1)/2 x T·N(N+1)/2.
     """
     t, _, n = c.shape
     # one packing serves the orbital pairs (p, q) of the rows and the core
@@ -552,7 +544,6 @@ def _reduced_v_design(gmat: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.n
         design[:, leaf] = left[:, i] * right[:, j] + left[:, j] * right[:, i]
     design *= 0.5 * w
     design *= w_rows[:, None, None]
-    gpacked = gmat[np.ix_(pair, pair)] * np.outer(w, w)
     return design.reshape(len(pr), -1), gpacked[pr, rs] * w_rows
 
 
@@ -595,7 +586,7 @@ def solve_v_step(
 
         out = _lbfgs(objective, v0.ravel()).reshape(t, n, n)
         return 0.5 * (out + out.transpose(0, 2, 1))
-    a, y = _reduced_v_design(gmat, c)
+    a, y = _reduced_v_design(g.as_packed_matrix(), c)
     if rho:
         sol = np.linalg.solve(a.T @ a + 2.0 * rho * np.eye(a.shape[1]), a.T @ y)
     else:

@@ -14,6 +14,7 @@ of leaf t is sign_t * W^t ⊗ W^t − α^t * 1 ⊗ 1.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -193,6 +194,13 @@ def finite_array(value, field: str) -> np.ndarray:
     return out
 
 
+def _exact_int(value, field: str) -> int:
+    """A record field that must be an integer: 4 and 4.0 are, 4.9, "4" and true are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ValidationError(f"{field} in factorization record must be an integer, got {value!r}")
+    return int(value)
+
+
 def factorization_from_dict(data: dict) -> DoubleFactorization | FullRankFactorization:
     """Parse a record; a missing, malformed or non-finite field is a ValidationError."""
     try:
@@ -202,7 +210,7 @@ def factorization_from_dict(data: dict) -> DoubleFactorization | FullRankFactori
         thresholds = Thresholds(**{k: float(finite_array(thr.get(k, 0.0), k)) for k in fields})
         kind = data.get("kind", "full_rank" if leaves and "V" in leaves[0] else "rank1")
         common = dict(
-            n_orbitals=int(data["n_orbitals"]),
+            n_orbitals=_exact_int(data["n_orbitals"], "n_orbitals"),
             method_tag=str(data["method"]),
             rotations=tuple(finite_array(leaf["U"], "U") for leaf in leaves),
             thresholds=thresholds,
@@ -215,8 +223,8 @@ def factorization_from_dict(data: dict) -> DoubleFactorization | FullRankFactori
             **common,
             factors=tuple(finite_array(leaf["W"], "W") for leaf in leaves),
             shifts=tuple(float(finite_array(leaf.get("alpha", 0.0), "alpha")) for leaf in leaves),
-            signs=tuple(int(leaf.get("sign", 1)) for leaf in leaves),
-            leaf_ranks=tuple(int(leaf["xi"]) for leaf in leaves),
+            signs=tuple(_exact_int(leaf.get("sign", 1), "sign") for leaf in leaves),
+            leaf_ranks=tuple(_exact_int(leaf["xi"], "xi") for leaf in leaves),
             a2_prime=float(finite_array(data.get("a2_prime", 0.0), "a2_prime")),
         )
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

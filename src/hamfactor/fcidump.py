@@ -13,11 +13,13 @@ The format is the usual Fortran-namelist header followed by integral records::
 Records are 1-based and in chemists' notation: ``v i j k l`` sets (ij|kl) and
 its 8-fold symmetry images, ``v i j 0 0`` sets h[i,j] (symmetric), ``v i 0 0 0``
 is an orbital energy (kept in metadata only), and ``v 0 0 0 0`` is the nuclear
-repulsion energy.
+repulsion energy. Records come in any order; of two that set the same
+symmetry class, the later wins.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import re
 
@@ -51,11 +53,68 @@ def _parse_header(text: str) -> dict:
     return fields
 
 
-def _set_two_electron(g: np.ndarray, i: int, j: int, k: int, l: int, value: float) -> None:
-    for a, b in ((i, j), (j, i)):
-        for c, d in ((k, l), (l, k)):
-            g[a, b, c, d] = value
-            g[c, d, a, b] = value
+_RECORD = np.dtype([("value", float), ("index", np.int64, (4,))])
+
+
+def _supported(nonzero: np.ndarray) -> np.ndarray:
+    """Which (i, j, k, l) nonzero-patterns are records: ijkl, ij00, i000 or 0000."""
+    return ~np.any(nonzero[..., 1:], axis=-1) | (
+        nonzero[..., 0] & nonzero[..., 1] & (nonzero[..., 2] == nonzero[..., 3])
+    )
+
+
+def _records_by_line(lines: list[str], start: int, norb: int) -> tuple[np.ndarray, np.ndarray]:
+    """The records, checked one line at a time; the first bad line raises FcidumpParseError."""
+    values, indices = [], []
+    for idx in range(start, len(lines)):
+        stripped = lines[idx].strip()
+        if not stripped:
+            continue
+        parts = stripped.split()
+        if len(parts) != 5:
+            raise FcidumpParseError(f"expected 'value i j k l', got {stripped!r}", idx + 1)
+        try:
+            value = float(parts[0].replace("D", "E").replace("d", "e"))
+            index = [int(p) for p in parts[1:]]
+        except ValueError:
+            raise FcidumpParseError(f"unparseable record {stripped!r}", idx + 1)
+        if not math.isfinite(value):
+            raise FcidumpParseError(f"non-finite value in record {stripped!r}", idx + 1)
+        for label, at in zip("ijkl", index):
+            if at < 0 or at > norb:
+                raise FcidumpParseError(f"index {label}={at} outside [0, NORB={norb}]", idx + 1)
+        if not _supported(np.array(index) != 0):
+            raise FcidumpParseError(f"unsupported index pattern {tuple(index)}", idx + 1)
+        values.append(value)
+        indices.append(index)
+    return np.array(values, dtype=float), np.array(indices, dtype=np.int64).reshape(-1, 4)
+
+
+def _records(lines: list[str], start: int, norb: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, 1-based indices R x 4) of the integral records from line ``start`` on.
+
+    One vectorized read and check; any line it does not accept sends the
+    whole body to ``_records_by_line``, which names the first bad line or
+    accepts a spelling only Python's number parsers know (such as ``1_0``).
+    """
+    body = "\n".join(lines[start:]).replace("D", "E").replace("d", "e")
+    if body.strip():
+        try:
+            records = np.loadtxt(io.StringIO(body), dtype=_RECORD, comments=None, ndmin=1)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            values, index = records["value"], records["index"]
+            in_range = np.all((index >= 0) & (index <= norb))
+            if np.all(np.isfinite(values)) and in_range and np.all(_supported(index != 0)):
+                return values, index
+    return _records_by_line(lines, start, norb)
+
+
+def _last_of_each(key: np.ndarray) -> np.ndarray:
+    """Positions of the last occurrence of each distinct key."""
+    _, first_from_end = np.unique(key[::-1], return_index=True)
+    return len(key) - 1 - first_from_end
 
 
 def parse_fcidump(path: str) -> tuple[TwoElectronTensor, np.ndarray, float, dict]:
@@ -99,40 +158,24 @@ def parse_fcidump(path: str) -> tuple[TwoElectronTensor, np.ndarray, float, dict
 
     g = np.zeros((norb, norb, norb, norb))
     h = np.zeros((norb, norb))
-    e_nuc = None
-    orbital_energies = {}
+    values, index = _records(lines, data_start, norb)
+    # a record sets every symmetry image of its index, so a later record of
+    # the same class (equal sorted (i, j), (k, l) and pair order) replaces it
+    base = norb + 1
+    ij = index[:, :2].max(axis=1) * base + index[:, :2].min(axis=1)
+    kl = index[:, 2:].max(axis=1) * base + index[:, 2:].min(axis=1)
+    keep = _last_of_each(np.maximum(ij, kl) * base**2 + np.minimum(ij, kl))
+    v, (i, j, k, l) = values[keep], index[keep].T
+    two, one = k > 0, (j > 0) & (k == 0)
+    p, q, r, s = (x[two] - 1 for x in (i, j, k, l))
+    for a, b, c, d in ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r)):
+        g[a, b, c, d] = g[c, d, a, b] = v[two]
+    h[i[one] - 1, j[one] - 1] = h[j[one] - 1, i[one] - 1] = v[one]
+    orbital = (index[:, 0] > 0) & (index[:, 1] == 0)
+    orbital_energies = {int(at): float(x) for at, x in zip(index[orbital, 0], values[orbital])}
+    nuclear = v[i == 0]
+    e_nuc = nuclear[0] if nuclear.size else None
     warnings = []
-
-    for idx in range(data_start, len(lines)):
-        stripped = lines[idx].strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 5:
-            raise FcidumpParseError(f"expected 'value i j k l', got {stripped!r}", idx + 1)
-        try:
-            value = float(parts[0].replace("D", "E").replace("d", "e"))
-            i, j, k, l = (int(p) for p in parts[1:])
-        except ValueError:
-            raise FcidumpParseError(f"unparseable record {stripped!r}", idx + 1)
-        if not math.isfinite(value):
-            raise FcidumpParseError(f"non-finite value in record {stripped!r}", idx + 1)
-        for label, index in (("i", i), ("j", j), ("k", k), ("l", l)):
-            if index < 0 or index > norb:
-                raise FcidumpParseError(
-                    f"index {label}={index} outside [0, NORB={norb}]", idx + 1
-                )
-        if i and j and k and l:
-            _set_two_electron(g, i - 1, j - 1, k - 1, l - 1, value)
-        elif i and j and not k and not l:
-            h[i - 1, j - 1] = value
-            h[j - 1, i - 1] = value
-        elif i and not j and not k and not l:
-            orbital_energies[i] = value
-        elif not any((i, j, k, l)):
-            e_nuc = value
-        else:
-            raise FcidumpParseError(f"unsupported index pattern {(i, j, k, l)}", idx + 1)
 
     if e_nuc is None:
         warnings.append("no nuclear-repulsion record (0 0 0 0); defaulting to 0.0")

@@ -113,19 +113,6 @@ class NormReport:
     xi_mean: float
     ablation_lambda_burg: float
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_lcu": self.lambda_lcu,
-            "lambda_burg": self.lambda_burg,
-            "one_body": self.one_body,
-            "two_body_lcu": self.two_body_lcu,
-            "two_body_burg": self.two_body_burg,
-            "n_alpha": self.n_alpha,
-            "xi_per_leaf": list(self.xi_per_leaf),
-            "xi_mean": self.xi_mean,
-            "ablation_lambda_burg": self.ablation_lambda_burg,
-        }
-
 
 def norm_report(fact: DoubleFactorization, one_body) -> NormReport:
     """Both norms plus breakdowns, Ξ statistics, and the α-ablation norm.

@@ -18,8 +18,8 @@ from scipy.optimize import minimize_scalar
 
 from .errors import InvalidShiftSplit, ValidationError
 from .factorization import DoubleFactorization
-from .tensors import TwoElectronTensor, _freeze
-from .xdf import second_factorization, signed_first_factorization, truncate_factors
+from .tensors import TwoElectronTensor, _freeze, _packing
+from .xdf import _signed_leaves, second_factorization, truncate_factors
 
 SPLIT_TOL = 1e-12
 SHIFT_SCAN_POINTS = 17
@@ -146,12 +146,6 @@ def shifted_tensor(g: TwoElectronTensor, a2_prime: float) -> TwoElectronTensor:
     return TwoElectronTensor(g.g - a2_prime * np.einsum("pq,rs->pqrs", eye, eye))
 
 
-def _shifted_xdf(g: TwoElectronTensor, a2_prime: float, n_df: int, delta_df: float, mode: str):
-    leaves, signs = signed_first_factorization(shifted_tensor(g, a2_prime), n_df)
-    fact = second_factorization(leaves, delta_df, mode, signs=signs)
-    return replace(fact, a2_prime=float(a2_prime))
-
-
 def global_two_body_shift(
     g: TwoElectronTensor,
     n_df: int,
@@ -164,12 +158,22 @@ def global_two_body_shift(
     tensor's (pp|rr) diagonal (plus the unshifted point, the diagonal's median
     and mean) brackets the optimum; golden-section search then polishes it to
     ``SHIFT_POLISH_TOL``. The returned norm never exceeds the a2′ = 0 value
-    because 0 is always a scan candidate.
+    because 0 is always a scan candidate. g is packed once; each candidate
+    eigendecomposes the packed gp − a2′ d dᵀ, where d is 1 on the diagonal
+    pairs (p, p): the packed δ_pq δ_rs. No candidate builds an N⁴ tensor.
     """
     from .norms import two_body_burg_norm
 
+    n = g.n_orbitals
+    i, j, _ = _packing(n)
+    gp, dd = g.as_packed_matrix(), np.outer(i == j, i == j)  # dd: packed δ_pq δ_rs
+
+    def shifted_xdf(a2p: float) -> DoubleFactorization:
+        leaves, signs = _signed_leaves(gp - a2p * dd, n, n_df)
+        return replace(second_factorization(leaves, delta_df, mode, signs=signs), a2_prime=float(a2p))
+
     def objective(a2p: float) -> float:
-        return two_body_burg_norm(_shifted_xdf(g, a2p, n_df, delta_df, mode))
+        return two_body_burg_norm(shifted_xdf(a2p))
 
     diag = np.einsum("pprr->pr", g.g).ravel()
     lo, hi = float(diag.min()), float(diag.max())
@@ -192,4 +196,4 @@ def global_two_body_shift(
         polished, polished_val = candidates[best], values[best]
     if polished_val > values[best]:
         polished, polished_val = candidates[best], values[best]
-    return polished, _shifted_xdf(g, polished, n_df, delta_df, mode)
+    return polished, shifted_xdf(polished)

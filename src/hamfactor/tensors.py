@@ -41,6 +41,16 @@ def _checked_eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def _packing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Isometric packing of an n x n symmetric matrix M.
+
+    Returns the upper-triangle indices (i ≤ j) and the weights w (1 on, √2
+    off the diagonal) for which the vector w·M[i, j] has M's Frobenius norm.
+    """
+    i, j = np.triu_indices(n)
+    return i, j, np.where(i == j, 1.0, np.sqrt(2.0))
+
+
 def check_two_electron_symmetry(g: np.ndarray, tol: float = SYMMETRY_TOL) -> float:
     """Return the maximum deviation of g from its 8-fold symmetry images.
 
@@ -82,6 +92,19 @@ class TwoElectronTensor:
         """The tensor reshaped to the symmetric N^2 x N^2 matrix g[(pq),(rs)]."""
         n = self.n_orbitals
         return self.g.reshape(n * n, n * n)
+
+    def as_packed_matrix(self) -> np.ndarray:
+        """The matrix form on the symmetric pair space: M x M with M = N(N+1)/2.
+
+        Rows and columns are the pairs p ≤ q of ``_packing``, weighted √2 off
+        the diagonal. The packing is an isometry of symmetric N x N matrices,
+        and g has no component on antisymmetric ones, so this matrix carries
+        every nonzero eigenpair of ``as_matrix()``.
+        """
+        n = self.n_orbitals
+        i, j, w = _packing(n)
+        pair = i * n + j
+        return self.as_matrix()[np.ix_(pair, pair)] * np.outer(w, w)
 
 
 @dataclass(frozen=True)
@@ -181,6 +204,10 @@ def synthesize_instance(spec: SyntheticSpec) -> tuple[TwoElectronTensor, list[np
 
 
 def frobenius_error(a: TwoElectronTensor | np.ndarray, b: TwoElectronTensor | np.ndarray) -> float:
+    """||a − b||_F; NumericalError if it overflows."""
     ga = a.g if isinstance(a, TwoElectronTensor) else np.asarray(a)
     gb = b.g if isinstance(b, TwoElectronTensor) else np.asarray(b)
-    return float(np.linalg.norm(ga - gb))
+    error = float(np.linalg.norm(ga - gb))
+    if not np.isfinite(error):
+        raise NumericalError(f"Frobenius error is {error}; the tensors' difference overflows")
+    return error

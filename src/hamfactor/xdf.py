@@ -1,9 +1,10 @@
 """Explicit two-stage eigendecomposition of the two-electron tensor.
 
-Stage one eigendecomposes the N^2 x N^2 matrix form of g and keeps the n_df
-leaves of largest eigenvalue magnitude, L^t = sqrt(λ_t) * mat(v_t). Stage two
-eigendecomposes each symmetric L^t = U^t diag(W^t) U^t^T, giving rank-1 cores
-V^t = W^t ⊗ W^t.
+Stage one eigendecomposes the matrix form of g on the symmetric pair space
+(N(N+1)/2 square; g is zero on the rest of the N^2 x N^2 form) and keeps the
+n_df leaves of largest eigenvalue magnitude, L^t = sqrt(λ_t) * mat(v_t).
+Stage two eigendecomposes each symmetric L^t = U^t diag(W^t) U^t^T, giving
+rank-1 cores V^t = W^t ⊗ W^t.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import NonPSDTensor, ValidationError
 from .factorization import DoubleFactorization, Thresholds
-from .tensors import TwoElectronTensor, _checked_eigh
+from .tensors import TwoElectronTensor, _checked_eigh, _packing
 
 logger = logging.getLogger(__name__)
 
@@ -54,11 +55,27 @@ def _break_ties(vals: np.ndarray, vecs: np.ndarray, mags: np.ndarray) -> None:
         i = j
 
 
-def _eigendecompose_matrix_form(g: TwoElectronTensor, n_df: int) -> tuple[np.ndarray, np.ndarray]:
-    n = g.n_orbitals
+def _eigendecompose_matrix_form(gm: np.ndarray, n: int, n_df: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading n_df eigenpairs of g's N^2 x N^2 matrix form.
+
+    ``gm`` is that form or its packed pair-space matrix (``as_packed_matrix``).
+    Packed eigenvectors are unpacked to N^2 (divided by the packing weight and
+    mirrored to (q, p)) before ordering, so signs and ties follow the full
+    form's conventions. Past the N(N+1)/2 pair-space eigenpairs, the full
+    form's antisymmetric null space enters as exact zeros.
+    """
     if not 1 <= n_df <= n * n:
         raise ValidationError(f"n_df must be in [1, N^2={n * n}], got {n_df}")
-    vals, vecs = _order_by_magnitude(*_checked_eigh(g.as_matrix(), "two-electron matrix form"))
+    vals, vecs = _checked_eigh(gm, "two-electron matrix form")
+    if len(vals) < n * n:
+        i, j, w = _packing(n)
+        full = np.zeros((n, n, len(vals)))
+        full[i, j] = full[j, i] = vecs / w[:, None]
+        vecs = full.reshape(n * n, -1)
+    vals, vecs = _order_by_magnitude(vals, vecs)
+    pad = n_df - len(vals)
+    if pad > 0:
+        vals, vecs = np.pad(vals, (0, pad)), np.pad(vecs, ((0, 0), (0, pad)))
     return vals[:n_df], vecs[:, :n_df]
 
 
@@ -72,11 +89,18 @@ def _leaves(vals: np.ndarray, vecs: np.ndarray, n: int) -> list[np.ndarray]:
 def first_factorization(g: TwoElectronTensor, n_df: int) -> list[np.ndarray]:
     """Leading n_df symmetric factor matrices of g, requiring g to be PSD.
 
-    Eigenvalues below -1e-10 raise NonPSDTensor; small negatives are clamped
-    to zero with a warning.
+    The eigendecomposition runs on the packed pair-space matrix
+    (``TwoElectronTensor.as_packed_matrix``, N(N+1)/2 square) instead of the
+    N^2 x N^2 matrix form, whose other eigenvalues are zero. Eigenvalues
+    below -1e-10 raise NonPSDTensor; small negatives are clamped to zero with
+    a warning.
     """
-    n = g.n_orbitals
-    vals, vecs = _eigendecompose_matrix_form(g, n_df)
+    return _psd_leaves(g.as_packed_matrix(), g.n_orbitals, n_df)
+
+
+def _psd_leaves(gm: np.ndarray, n: int, n_df: int) -> list[np.ndarray]:
+    """``first_factorization`` from the matrix form ``gm``, packed or N^2 x N^2."""
+    vals, vecs = _eigendecompose_matrix_form(gm, n, n_df)
     if np.any(vals < -EIG_CLAMP_TOL):
         worst = float(vals.min())
         raise NonPSDTensor(f"two-electron matrix form has eigenvalue {worst:.3e} < -1e-10")
@@ -91,8 +115,12 @@ def signed_first_factorization(g: TwoElectronTensor, n_df: int) -> tuple[list[np
 
     Negative eigenvalues are carried as per-leaf signs: g ≈ sum_t s_t L^t ⊗ L^t.
     """
-    n = g.n_orbitals
-    vals, vecs = _eigendecompose_matrix_form(g, n_df)
+    return _signed_leaves(g.as_packed_matrix(), g.n_orbitals, n_df)
+
+
+def _signed_leaves(gp: np.ndarray, n: int, n_df: int) -> tuple[list[np.ndarray], list[int]]:
+    """``signed_first_factorization`` from the packed matrix form ``gp``."""
+    vals, vecs = _eigendecompose_matrix_form(gp, n, n_df)
     signs = [1 if v >= -EIG_CLAMP_TOL else -1 for v in vals]
     vals = np.where(np.abs(vals) < EIG_CLAMP_TOL, 0.0, vals)
     return _leaves(vals, vecs, n), signs
@@ -143,7 +171,11 @@ def second_factorization(
         raise ValidationError("leaf matrices must be symmetric and N x N")
     if signs is None:
         signs = [1] * len(leaves)
-    vals, vecs = _order_by_magnitude(*_checked_eigh(0.5 * (stack + transposed), "leaf matrices"))
+    # an exactly zero leaf has rank 0 whatever the truncation
+    nonzero = np.any(stack != 0, axis=(1, 2))
+    signs = [s for s, keep in zip(signs, nonzero) if keep]
+    symmetric = 0.5 * (stack + transposed)[nonzero]
+    vals, vecs = _order_by_magnitude(*_checked_eigh(symmetric, "leaf matrices"))
     rotations, factors, kept_signs, ranks = [], [], [], []
     for u, lam, s in zip(vecs, vals, signs):
         w = truncate_factors(lam, delta_df, mode)

@@ -215,6 +215,23 @@ def test_malformed_record_exits_2(tmp_path, capsys, xdf_record, case, command):
     assert "read-input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("sign", 1.5), ("sign", -1.9), ("sign", "1"), ("xi", -2.5), ("xi", True), ("n_orbitals", 4.9)],
+)
+def test_non_integer_record_field_exits_2(tmp_path, capsys, xdf_record, field, value):
+    _, record = xdf_record
+    for given, code in ((value, 2), (-1.0 if field == "sign" else 4.0, 0)):
+        bad = tmp_path / "bad.json"
+        _write_record(record, bad, lambda data: (data if field == "n_orbitals" else data["leaves"][0]).update({field: given}))
+        capsys.readouterr()
+        assert main(["resources", str(bad)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert assert_one_stage_label(code, err) == "read-input"
+            assert f"{field} in factorization record must be an integer" in err
+
+
 @pytest.mark.parametrize("case", ["verify", "verify_fci", "resources_fcidump", "short_one_body_eigs"])
 def test_orbital_count_mismatch_exits_2(tmp_path, capsys, xdf_record, case):
     _, record = xdf_record
@@ -478,13 +495,15 @@ def _write_integrals(dump, path, values, norb=None):
         (["factorize", "{one_body_eigh_fails}", "--method", "xdf"], 3, "read-input"),
         (["factorize", "{huge_g}", "--method", "scdf", "--max-outer", "1", "--ndf", "4"], 3, "factorize"),
         (["factorize", "{huge_g}", "--method", "cdf", "--max-outer", "1", "--ndf", "4"], 3, "factorize"),
+        # found by the fuzz test: the Frobenius error overflowed to inf and failed at write-output
+        (["verify", "{record}", "{huge_g}"], 3, "verify"),
     ],
     ids=[
         "resources_output", "verify_output", "sweep_output", "synth_output", "non_utf8_fcidump",
         "huge_w_resources", "huge_w_verify", "huge_alpha_resources", "huge_alpha_verify_fci",
         "ndf_abc", "kr_3", "kr_x", "eps_0", "synth_orbitals_0",
         "f_overflow", "eigs_overflow", "first_eigh_fails", "second_eigh_fails", "one_body_eigh_fails",
-        "scdf_generator_eigh_fails", "cdf_generator_eigh_fails",
+        "scdf_generator_eigh_fails", "cdf_generator_eigh_fails", "frobenius_overflow_verify",
     ],
 )
 def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, argv, code, stage):

@@ -1,13 +1,20 @@
 """Tensor model and FCIDUMP round trips."""
 
+import glob
+import importlib.util
+import math
+import os
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hamfactor as hf
-from hamfactor.errors import FcidumpParseError, ValidationError
+from hamfactor.errors import FcidumpParseError, NumericalError, ValidationError
+from hamfactor.fcidump import _parse_header
 
-from conftest import make_instance
+from conftest import DATA_DIR, make_instance
 
 
 def test_two_electron_tensor_rejects_asymmetric():
@@ -126,6 +133,196 @@ def test_parse_rejects_out_of_range_index(tmp_path):
     with pytest.raises(FcidumpParseError) as err:
         hf.parse_fcidump(path)
     assert err.value.line_no == 3
+
+
+def reference_parse_fcidump(path):
+    """The record-by-record FCIDUMP reader: one Python loop, 8 scalar stores per record."""
+    with open(path, "r") as fh:
+        lines = fh.read().splitlines()
+    header_lines = []
+    data_start = None
+    in_header = False
+    for idx, line in enumerate(lines):
+        stripped = line.strip()
+        if not in_header:
+            if not stripped:
+                continue
+            if not stripped.upper().startswith("&FCI"):
+                raise FcidumpParseError("expected '&FCI' namelist header", idx + 1)
+            in_header = True
+            stripped = stripped[4:]
+        end = re.search(r"(&END|/)", stripped, flags=re.IGNORECASE)
+        if end:
+            header_lines.append(stripped[: end.start()])
+            data_start = idx + 1
+            break
+        header_lines.append(stripped)
+    if data_start is None:
+        raise FcidumpParseError("namelist header never terminated with &END or /", len(lines))
+    fields = _parse_header(" ".join(header_lines))
+    norb = fields.get("NORB")
+    if not isinstance(norb, int) or norb < 1:
+        raise FcidumpParseError("header is missing a valid NORB", data_start)
+    g = np.zeros((norb, norb, norb, norb))
+    h = np.zeros((norb, norb))
+    e_nuc = None
+    orbital_energies = {}
+    warnings = []
+    for idx in range(data_start, len(lines)):
+        stripped = lines[idx].strip()
+        if not stripped:
+            continue
+        parts = stripped.split()
+        if len(parts) != 5:
+            raise FcidumpParseError(f"expected 'value i j k l', got {stripped!r}", idx + 1)
+        try:
+            value = float(parts[0].replace("D", "E").replace("d", "e"))
+            i, j, k, l = (int(p) for p in parts[1:])
+        except ValueError:
+            raise FcidumpParseError(f"unparseable record {stripped!r}", idx + 1)
+        if not math.isfinite(value):
+            raise FcidumpParseError(f"non-finite value in record {stripped!r}", idx + 1)
+        for label, index in (("i", i), ("j", j), ("k", k), ("l", l)):
+            if index < 0 or index > norb:
+                raise FcidumpParseError(f"index {label}={index} outside [0, NORB={norb}]", idx + 1)
+        if i and j and k and l:
+            i, j, k, l = i - 1, j - 1, k - 1, l - 1
+            for a, b in ((i, j), (j, i)):
+                for c, d in ((k, l), (l, k)):
+                    g[a, b, c, d] = value
+                    g[c, d, a, b] = value
+        elif i and j and not k and not l:
+            h[i - 1, j - 1] = value
+            h[j - 1, i - 1] = value
+        elif i and not j and not k and not l:
+            orbital_energies[i] = value
+        elif not any((i, j, k, l)):
+            e_nuc = value
+        else:
+            raise FcidumpParseError(f"unsupported index pattern {(i, j, k, l)}", idx + 1)
+    if e_nuc is None:
+        warnings.append("no nuclear-repulsion record (0 0 0 0); defaulting to 0.0")
+        e_nuc = 0.0
+    metadata = dict(fields)
+    metadata["warnings"] = warnings
+    if orbital_energies:
+        metadata["orbital_energies"] = orbital_energies
+    return hf.TwoElectronTensor(g), h, float(e_nuc), metadata
+
+
+def assert_same_parse(path):
+    g, h, e_nuc, meta = hf.parse_fcidump(path)
+    g_ref, h_ref, e_ref, meta_ref = reference_parse_fcidump(path)
+    assert g.g.tobytes() == g_ref.g.tobytes() and g.g.shape == g_ref.g.shape
+    assert h.tobytes() == h_ref.tobytes() and h.dtype == h_ref.dtype
+    assert type(e_nuc) is float and np.float64(e_nuc).tobytes() == np.float64(e_ref).tobytes()
+    assert meta == meta_ref and list(meta) == list(meta_ref)
+    energies, energies_ref = meta.get("orbital_energies", {}), meta_ref.get("orbital_energies", {})
+    assert list(energies.items()) == list(energies_ref.items())
+    assert all(type(k) is int and type(v) is float for k, v in energies.items())
+
+
+def recipe_chain_fcidump(path, n):
+    spec = importlib.util.spec_from_file_location("chain_recipe", os.path.join(DATA_DIR, "generate.py"))
+    recipe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recipe)
+    hf.write_fcidump(str(path), recipe.chain_tensor(n, 100 + n, 0.7), recipe.chain_hopping(n), 0.0, nelec=n)
+
+
+def test_parse_matches_record_by_record_reader(tmp_path):
+    for path in sorted(glob.glob(os.path.join(DATA_DIR, "*.fcidump"))):
+        assert_same_parse(path)
+    recipe_chain_fcidump(tmp_path / "n20.fcidump", 20)
+    assert_same_parse(str(tmp_path / "n20.fcidump"))
+
+
+def test_parse_keeps_the_last_record_of_each_symmetry_class(tmp_path):
+    """Shuffled records, permuted images, duplicates with new values, and spellings only Python reads."""
+    rng = np.random.default_rng(11)
+    lines = open(os.path.join(DATA_DIR, "chain_n06.fcidump")).read().splitlines()
+    header, records = lines[:4], [line.split() for line in lines[4:]]
+    out = []
+    for value, *index in records:
+        i, j, k, l = index
+        if k != "0":
+            images = [(i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+                      (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i)]
+            index = images[rng.integers(8)]
+        elif j != "0":
+            index = [(i, j, k, l), (j, i, k, l)][rng.integers(2)]
+        out.append([value, *index])
+    for at in rng.choice(len(out), size=40, replace=False):
+        value, i, j, k, l = out[at]
+        if k != "0":  # a later record of the same class, as another image, with a new value
+            out.append([f"{float(value) + 0.25:.6E}".replace("E", "D"), k, l, j, i])
+        elif j != "0":
+            out.append([f"{rng.standard_normal():.17g}", j, i, k, l])
+    out += [["0.5", "2", "0", "0", "0"], ["1.0", "0", "0", "0", "0"], ["0.75", "1", "0", "0", "0"],
+            ["-0.25", "2", "0", "0", "0"], ["+2.5d0", "0", "0", "0", "0"], ["5.5", "3", "0", "0", "0"]]
+    order = rng.permutation(len(out))
+    body = []
+    for at in order:
+        body.append(("\t" if at % 7 == 0 else "  ").join(out[at]))
+        if at % 11 == 0:
+            body.append("   ")
+    # the second file adds Python-only spellings, which the vectorized read leaves to the line reader
+    python_only = ["1_0  0  0  0  0", "1_5.5 4 0 0 0", "0_1 1 1 1 1"]
+    for name, extra in (("shuffled", []), ("python_spellings", python_only)):
+        path = tmp_path / f"{name}.fcidump"
+        path.write_text("\n".join(header + body + extra) + "\n")
+        assert_same_parse(str(path))
+        _, _, e_nuc, meta = hf.parse_fcidump(str(path))
+        assert set(meta["orbital_energies"]) == ({1, 2, 3, 4} if extra else {1, 2, 3})
+    assert e_nuc == 10.0  # the last nuclear-repulsion record
+
+    empty = tmp_path / "empty.fcidump"
+    empty.write_text("\n".join(header) + "\n\n")
+    assert_same_parse(str(empty))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "0.5 1 1 1",  # wrong field count
+        "0.5 1 1 1 1 1",
+        "abc 1 1 0 0",  # bad number
+        "0.5 1 x 0 0",
+        "0.5 1.0 1 0 0",
+        "0.5 1E0 1 0 0",
+        "nan 1 1 1 1",  # non-finite value
+        "-inf 1 1 0 0",
+        "1e400 1 1 1 1",
+        "1D400 0 0 0 0",
+        "0.5 3 1 1 1",  # index out of range
+        "0.5 1 1 -1 1",
+        "0.5 1 1 1 99999999999999999999",
+        "0.5 1 0 1 1",  # unsupported pattern
+        "0.5 0 1 0 0",
+        "0.5 1 1 1 0",
+        "0.5 0 0 0 1",
+    ],
+)
+@pytest.mark.parametrize("h21", ["1.0", "1_0"])  # 1_0: only Python's float reads it
+@pytest.mark.parametrize("after", [[], [" 0.5 2 1 2"]])  # the first bad line is the one named
+def test_parse_rejects_like_record_by_record_reader(tmp_path, bad, h21, after):
+    path = tmp_path / "bad.fcidump"
+    lines = [" &FCI NORB=2,NELEC=2,MS2=0,", " &END", " 0.5 1 1 1 1", "", f" {h21} 2 1 0 0", " 0.25 2 2 1 1"]
+    path.write_text("\n".join(lines + [bad] + after + [" 0.1 0 0 0 0"]) + "\n")
+    with pytest.raises(FcidumpParseError) as err:
+        hf.parse_fcidump(str(path))
+    with pytest.raises(FcidumpParseError) as ref:
+        reference_parse_fcidump(str(path))
+    assert str(err.value) == str(ref.value)
+    assert err.value.line_no == ref.value.line_no == 7
+
+
+def test_frobenius_error_raises_on_overflow(small_instance):
+    g, _ = small_instance
+    huge = np.zeros((4, 4, 4, 4))
+    huge[0, 0, 0, 0] = 1e200
+    huge[1, 1, 1, 1] = 1e200
+    with pytest.raises(NumericalError, match="overflows"):
+        hf.frobenius_error(huge, np.zeros_like(huge))
 
 
 def test_frobenius_error_accepts_both_kinds(small_instance):

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import hamfactor as hf
 from hamfactor.errors import NonPSDTensor, ValidationError
+from hamfactor.xdf import EIG_CLAMP_TOL, _eigendecompose_matrix_form, _leaves, _order_by_magnitude
 
-from conftest import make_instance
+from conftest import data_path, make_instance
 
 
 def test_exact_reconstruction_at_full_rank(small_instance):
@@ -136,9 +137,12 @@ def test_batched_second_factorization_matches_per_leaf_reference(small_instance)
         np.diag([0.25, -0.25, 0.25, -0.25, 1.0]),
     ]
     tiny = 1e-6 * random_leaves[0]  # truncates to rank 0 once delta_df > 0
+    zero = np.zeros((n, n))
     cases = [
         (random_leaves, 0.0, "component", None),
         (random_leaves + tied_leaves, 0.0, "component", [1, -1, 1, 1, -1, 1, -1, 1, 1, -1]),
+        # exactly zero leaves are dropped before the eigh; the signs stay aligned
+        ([zero] + random_leaves[:3] + [zero] + random_leaves[3:], 0.0, "component", [1, 1, -1, 1, -1, -1, 1, -1]),
         (tied_leaves + [tiny] + random_leaves, 1e-3, "component", None),
         (random_leaves + [tiny] + tied_leaves, 0.5, "combined", None),
         (hf.first_factorization(small_instance[0], 16), 1e-4, "component", None),
@@ -158,3 +162,63 @@ def test_batched_second_factorization_matches_per_leaf_reference(small_instance)
     for bad in ([np.eye(3), np.eye(2)], [np.eye(3), np.triu(np.ones((3, 3)))]):
         with pytest.raises(ValidationError, match="leaf matrices must be symmetric and N x N"):
             hf.second_factorization(bad)
+
+
+def full_form_first_factorization(g, n_df, signed):
+    """The first factorization on the N^2 x N^2 matrix form: the reference for the packed one."""
+    vals, vecs = _order_by_magnitude(*np.linalg.eigh(g.as_matrix()))
+    vals, vecs = vals[:n_df], vecs[:, :n_df]
+    if signed:
+        signs = [1 if v >= -EIG_CLAMP_TOL else -1 for v in vals]
+        kept = np.where(np.abs(vals) < EIG_CLAMP_TOL, 0.0, vals)
+    else:
+        signs = [1] * n_df
+        kept = np.clip(vals, 0.0, None)
+    return vals, _leaves(kept, vecs, g.n_orbitals), signs
+
+
+def _fixture(name):
+    g, _, _, _ = hf.parse_fcidump(data_path(f"{name}.fcidump"))
+    return g
+
+
+@pytest.mark.parametrize(
+    "case, signed",
+    [
+        ("chain_n06", False), ("chain_n06", True), ("chain_n10", False), ("chain_n10", True),
+        ("indefinite", True), ("n_df_past_pair_space", False), ("n_df_past_pair_space", True),
+    ],
+)
+@pytest.mark.parametrize("delta_df", [1e-4, 0.0])
+def test_packed_matrix_form_matches_full_form(case, signed, delta_df):
+    if case == "indefinite":
+        g = hf.shifted_tensor(make_instance(5, seed=5)[0], 10.0)
+    elif case == "n_df_past_pair_space":
+        g = make_instance(5, seed=2)[0]  # 4N = 20 > N(N+1)/2 = 15
+    else:
+        g = _fixture(case)
+    n = g.n_orbitals
+    n_df = 4 * n
+    ref_vals, ref_leaves, ref_signs = full_form_first_factorization(g, n_df, signed)
+    vals, _ = _eigendecompose_matrix_form(g.as_packed_matrix(), n, n_df)
+    scale = np.max(np.abs(ref_vals))
+    assert np.max(np.abs(vals - ref_vals)) <= 1e-12 * scale
+
+    if signed:
+        leaves, signs = hf.signed_first_factorization(g, n_df)
+        fact = hf.second_factorization(leaves, delta_df, signs=signs)
+    else:
+        fact = hf.explicit_factorization(g, n_df, delta_df)
+    ref = hf.second_factorization(ref_leaves, delta_df, signs=ref_signs)
+    # leaves beyond roundoff are the same; with delta_df = 0 the PSD path also
+    # keeps leaves of roundoff eigenvalues, which differ between the two forms
+    lead = int(np.sum(np.abs(vals) > EIG_CLAMP_TOL))
+    if delta_df or signed:
+        assert fact.n_leaves == ref.n_leaves == lead
+    for record in (fact, ref):
+        assert record.n_leaves >= lead
+        assert all(np.max(np.abs(w)) < 1e-6 for w in record.factors[lead:])
+    assert fact.leaf_ranks[:lead] == ref.leaf_ranks[:lead]
+    assert fact.signs[:lead] == ref.signs[:lead]
+    assert hf.two_body_burg_norm(fact) == pytest.approx(hf.two_body_burg_norm(ref), rel=1e-12)
+    assert hf.frobenius_error(hf.reconstruct_tensor(fact), hf.reconstruct_tensor(ref)) < 1e-10 * scale
