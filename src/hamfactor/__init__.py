@@ -90,7 +90,6 @@ from .oracle import (
     build_from_integrals,
     ground_energy,
     ground_state,
-    number_operator,
 )
 
 __version__ = "0.1.0"
@@ -140,7 +139,6 @@ __all__ = [
     "lambda_lcu",
     "load_factorization",
     "norm_report",
-    "number_operator",
     "one_body_norm",
     "one_body_shift",
     "optimal_k",

@@ -254,13 +254,14 @@ def grad_cdf_u(g: TwoElectronTensor, u: np.ndarray, v: np.ndarray) -> np.ndarray
 # generator parametrization
 
 
-def _x_to_flat(x: np.ndarray) -> np.ndarray:
-    iu = np.triu_indices(x.shape[1], k=1)
+def _x_to_flat(x: np.ndarray, iu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Strict upper triangles of the stack; ``iu`` is np.triu_indices(n, k=1), built here if not given."""
+    iu = np.triu_indices(x.shape[1], k=1) if iu is None else iu
     return x[:, iu[0], iu[1]].ravel()
 
 
-def _flat_to_x(flat: np.ndarray, t: int, n: int) -> np.ndarray:
-    iu = np.triu_indices(n, k=1)
+def _flat_to_x(flat: np.ndarray, t: int, n: int, iu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    iu = np.triu_indices(n, k=1) if iu is None else iu
     x = np.zeros((t, n, n))
     x[:, iu[0], iu[1]] = flat.reshape(t, -1)
     return x - x.transpose(0, 2, 1)
@@ -354,14 +355,15 @@ def _rotation_step(cost_and_grad_u, x: np.ndarray, outer: int) -> tuple[np.ndarr
     gives U. A U that drifted off the orthogonal group is an error.
     """
     t, n, _ = x.shape
+    iu = np.triu_indices(n, k=1)
 
     def objective(xflat: np.ndarray):
-        eig = _eig_generators(_flat_to_x(xflat, t, n))
+        eig = _eig_generators(_flat_to_x(xflat, t, n, iu))
         cost, grad_u = cost_and_grad_u(_rotations(eig))
-        return cost, _x_to_flat(_pull_back(eig, grad_u))
+        return cost, _x_to_flat(_pull_back(eig, grad_u), iu)
 
     try:
-        x = _flat_to_x(_lbfgs(objective, _x_to_flat(x)), t, n)
+        x = _flat_to_x(_lbfgs(objective, _x_to_flat(x, iu)), t, n, iu)
     except np.linalg.LinAlgError as exc:
         raise OptimizationError(f"generator eigendecomposition failed: {exc}", iteration=outer) from exc
     u = _expm_stack(x)

@@ -76,21 +76,27 @@ def split_directions(fact: DoubleFactorization | FullRankFactorization) -> list[
     rotation-angle records the data lookup stores.
     """
     if isinstance(fact, FullRankFactorization):
+        if not fact.cores:
+            return []
+        cores = np.stack(fact.cores)
+        vals, vecs = np.linalg.eigh(0.5 * (cores + cores.transpose(0, 2, 1)))
+        # row j of scaled[t] is √|λ_j| times eigenvector j of core t
+        scaled = np.sqrt(np.abs(vals))[:, :, None] * vecs.transpose(0, 2, 1)
         delta = fact.thresholds.delta_df
-        out = []
-        for v in fact.cores:
-            vals, vecs = np.linalg.eigh(0.5 * (v + v.T))
-            for lam, vec in zip(vals, vecs.T):
-                scaled = truncate_factors(np.sqrt(abs(lam)) * vec, delta, "component")
-                if np.any(scaled):
-                    out.append(scaled)
-        return out
+        if delta > 0:  # truncate_factors' "component" rule
+            scaled = np.where(np.abs(scaled) >= delta, scaled, 0.0)
+        return list(scaled[np.any(scaled, axis=2)])
     return [v for pairs in leaf_split_vectors(fact) for v, _sign in pairs]
+
+
+def _burg_norm(directions: list[np.ndarray]) -> float:
+    """¼ Σ_directions (Σ_k |v_k|)² over ``split_directions`` output."""
+    return sum(0.25 * float(np.sum(np.abs(v))) ** 2 for v in directions)
 
 
 def two_body_burg_norm(fact: DoubleFactorization | FullRankFactorization) -> float:
     """¼ Σ_t Σ_directions (Σ_k |v_k|)²; sign of a direction never matters."""
-    return sum(0.25 * float(np.sum(np.abs(v))) ** 2 for v in split_directions(fact))
+    return _burg_norm(split_directions(fact))
 
 
 def lambda_lcu(fact: DoubleFactorization | FullRankFactorization, one_body) -> float:

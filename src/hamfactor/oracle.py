@@ -1,8 +1,8 @@
-"""Dense exact-diagonalization oracle on tiny systems.
+"""Exact-diagonalization oracle: whole-sector dense matrices and one spin block.
 
 Builds the qubit Hamiltonian under the Jordan-Wigner convention: qubit i is
 spin orbital i, orbital-major with the up block first (orbital p maps to
-qubits p and p+N). Both builders assemble one form,
+qubits p and p+N). Every builder assembles one form,
 
     H = e_nuc + sum k_pq E_pq + 1/2 sum g_pqrs E_pq E_rs,
 
@@ -11,9 +11,9 @@ product form) or from a factorization's encoded integrals. Expanding the
 block encoding's squared one-body terms 1/2 sigma_j (c_j − n_j)^2 of every
 ``signed_split`` direction shows that the encoded Hamiltonian is this form
 with g = g̃ − (a2′ + Σ_t α^t) δ_pq δ_rs and k = f − a1′·1 − Σ_r g̃_pqrr, where
-g̃ = reconstruct_tensor(fact). So the oracle reads a factorization only
-through its reconstruction and its shift fields; the squared-direction
-construction itself is kept as a test reference.
+g̃ = reconstruct_tensor(fact) (``encoded_integrals``). So the oracle reads a
+factorization only through its reconstruction and its shift fields; the
+squared-direction construction itself is kept as a test reference.
 
 The assembly reads one excitation table: arrays (row, col, pq, sign) of every
 nonzero <row|E_pq|col>, found for all states at once by bit masks, popcount
@@ -21,36 +21,65 @@ parities and a sorted search. A one-body operator is one sparse matrix over
 it; the two-body part is one product of side-by-side E_pq and stacked A_pq
 blocks.
 
-Agreement of the two builds is the ground truth for factorization fidelity
-and for the shift-correction identity. The matrices are dense and
-deliberately capped at 14 qubits; particle-number sectors are built directly
-in the occupation basis to keep them small.
+Agreement of the builds is the ground truth for factorization fidelity and
+for the shift-correction identity. Two bases serve it:
 
-Ground levels come from one spin block of the sector, not from the whole
-sector matrix. H is built from the spin-summed E_pq, so it conserves each
+* ``build_from_integrals`` / ``build_from_factorization`` give a dense
+  matrix over a whole particle-number sector (capped at 14 qubits) or the
+  whole Fock space (12 qubits), for tests that compare matrices.
+* ``spin_block`` lists one spin block's states and builds their table once;
+  ``block_ground_level`` solves any (k, g, e_nuc) on it. ``verify --fci``
+  solves its exact, encoded and bare Hamiltonians this way. Up to
+  DENSE_BLOCK_STATES states the block matrix is dense and solved for its
+  lowest eigenpairs only; past that an ARPACK Lanczos solve (``eigsh``) runs
+  on the matrix-free product sigma = e·c + K c + 1/2 T(G(S c)), with S and T
+  the table's stacked and side-by-side pair operators E_pq + E_qp (p ≤ q)
+  and G the matching N(N+1)/2-square form of g. Blocks over
+  MAX_BLOCK_STATES states are refused.
+
+Ground levels come from the spin block with 2M_s = N_e mod 2, not from the
+whole sector. H is built from the spin-summed E_pq, so it conserves each
 spin's electron count and commutes with S^2: the sector matrix is block
 diagonal in 2M_s = n_up − n_down, and every spin multiplet has a member with
 2M_s = N_e mod 2. That one block therefore holds the sector's ground energy,
 and its eigenvectors, padded with zeros, are eigenvectors of the whole sector
 matrix. An overlap of a vector in the block with the ground level is
 unchanged by dropping the level's other M_s members: the level's projector
-commutes with S_z, so it maps the block into itself.
+commutes with S_z, so it maps the block into itself. The block's states are
+the products of the C(N, n_up) up strings and C(N, n_down) down strings with
+n_up = ceil(N_e/2), the determinant-CI layout of Knowles & Handy (1984);
+spin-conserving hops map the block into itself, so its table is closed.
+
+A ground level holds every eigenvalue within LEVEL_TOL·max(1, |E0|) of E0.
+Both solvers ask for the m lowest pairs and double m until the last one lies
+outside the level, so a degeneracy inside the block comes back whole (for
+Lanczos, as far as it resolves the copies of a repeated eigenvalue).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .factorization import DoubleFactorization, reconstruct_tensor
 from .shift import shifted_tensor
-from .tensors import OneBodyTensors, _checked_eigh
+from .tensors import OneBodyTensors, TwoElectronTensor, _checked_eigh
 
 MAX_QUBITS = 14
 MAX_FULL_SPACE_QUBITS = 12
+# past this many states a spin block is solved matrix-free
+DENSE_BLOCK_STATES = 2000
+# N=10 at half filling (63504 states) fits; N=11 (213444) does not
+MAX_BLOCK_STATES = 100_000
+LEVEL_TOL = 1e-8
+# eigsh residual bound relative to |E|: an energy is off by at most its square over the gap
+EIGSH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -125,17 +154,20 @@ def _two_body_operator(garr: np.ndarray, table, d: int) -> sp.csr_matrix:
     )
 
 
-def _assemble(k: np.ndarray, garr: np.ndarray, e_nuc: float, sector: int | str) -> DenseHamiltonian:
-    """Dense e_nuc + sum k_pq E_pq + 1/2 sum g_pqrs E_pq E_rs over the sector."""
-    n = k.shape[0]
-    states, table = _operator_basis(n, sector)
-    d = len(states)
+def _dense_matrix(k: np.ndarray, garr: np.ndarray, e_nuc: float, table, d: int) -> np.ndarray:
+    """Dense e_nuc + sum k_pq E_pq + 1/2 sum g_pqrs E_pq E_rs over the table's states."""
     ham = sp.identity(d, format="csr") * float(e_nuc)
     ham = ham + _one_body_operator(k, table, d) + 0.5 * _two_body_operator(garr, table, d)
     dense = ham.toarray()
     dense += dense.T  # numpy buffers the overlapping transpose
     dense *= 0.5
-    return DenseHamiltonian(dense, tuple(states.tolist()), 2 * n, sector)
+    return dense
+
+
+def _assemble(k: np.ndarray, garr: np.ndarray, e_nuc: float, sector: int | str) -> DenseHamiltonian:
+    n = k.shape[0]
+    states, table = _operator_basis(n, sector)
+    return DenseHamiltonian(_dense_matrix(k, garr, e_nuc, table, len(states)), tuple(states.tolist()), 2 * n, sector)
 
 
 def build_from_integrals(
@@ -154,27 +186,145 @@ def build_from_integrals(
     return _assemble(k, garr, e_nuc, sector)
 
 
+def encoded_integrals(
+    fact: DoubleFactorization, f: np.ndarray, reconstruction: TwoElectronTensor | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(k, g) of the encoded Hamiltonian a block encoding implements.
+
+    g = g̃ − (a2′ + Σα) δ_pq δ_rs and k = f − a1′·1 − Σ_r g̃_pqrr, with
+    g̃ = reconstruct_tensor(fact); pass ``reconstruction`` to reuse one.
+    Restoring the shifts is exactly correction_energy on every eigenvalue.
+    """
+    n = fact.n_orbitals
+    if f.shape[0] != n:
+        raise ValidationError("factorization and one-body dimensions disagree")
+    g = reconstruct_tensor(fact) if reconstruction is None else reconstruction
+    k = f - fact.a1_prime * np.eye(n) - np.einsum("pqrr->pq", g.g)
+    return k, shifted_tensor(g, fact.total_shift).g
+
+
 def build_from_factorization(
     fact: DoubleFactorization, one_body: OneBodyTensors, sector: int | str = "all"
 ) -> DenseHamiltonian:
-    """Dense matrix of the encoded Hamiltonian a block encoding implements.
+    """Dense matrix of the encoded Hamiltonian (see ``encoded_integrals``)."""
+    k, garr = encoded_integrals(fact, one_body.f)
+    return _assemble(k, garr, one_body.e_nuc, sector)
 
-    The integral Hamiltonian of the encoded integrals: g̃ − (a2′ + Σα) δ_pq δ_rs
-    with g̃ = reconstruct_tensor(fact), and the bare-product one-body
-    coefficient f − a1′·1 − Σ_r g̃_pqrr. Restoring the shifts is exactly
-    correction_energy on every eigenvalue.
+
+@dataclass(frozen=True)
+class SpinBlock:
+    """The 2M_s = N_e mod 2 block of the N_e-electron sector: sorted states and their table."""
+
+    n_orbitals: int
+    states: np.ndarray
+    table: tuple[np.ndarray, ...]
+
+
+def _strings(n: int, count: int) -> np.ndarray:
+    """Every n-bit occupation string with ``count`` bits set, sorted."""
+    return np.sort(np.array([sum(1 << i for i in c) for c in combinations(range(n), count)], dtype=np.int64))
+
+
+def spin_block(n: int, n_electrons: int) -> SpinBlock:
+    """States up ⊗ down with n_up = ceil(N_e/2), n_down = floor(N_e/2), and their one table.
+
+    The size is checked against MAX_BLOCK_STATES before anything is allocated.
     """
-    n = fact.n_orbitals
-    if one_body.f.shape[0] != n:
-        raise ValidationError("factorization and one-body dimensions disagree")
-    g = reconstruct_tensor(fact)
-    k = one_body.f - fact.a1_prime * np.eye(n) - np.einsum("pqrr->pq", g.g)
-    return _assemble(k, shifted_tensor(g, fact.total_shift).g, one_body.e_nuc, sector)
+    n_up, n_down = (n_electrons + 1) // 2, n_electrons // 2
+    if n_electrons < 0 or n_up > n:
+        raise ValidationError(f"sector {n_electrons} is empty for {2 * n} spin orbitals")
+    if 2 * n > 62:
+        raise ValidationError(f"{2 * n} spin orbitals do not fit a 64-bit occupation string")
+    size = math.comb(n, n_up) * math.comb(n, n_down)
+    if size > MAX_BLOCK_STATES:
+        raise ValidationError(
+            f"the 2M_s = {n_electrons % 2} block of {n_electrons} electrons in {n} orbitals has "
+            f"{size} states, over the {MAX_BLOCK_STATES}-state bound"
+        )
+    states = ((_strings(n, n_down) << n)[:, None] | _strings(n, n_up)).ravel()
+    return SpinBlock(n, states, _transitions(n, states))
 
 
-def number_operator(hd: DenseHamiltonian) -> np.ndarray:
-    """Dense total-number operator in the same basis (diagonal popcounts)."""
-    return np.diag(np.bitwise_count(np.asarray(hd.basis)).astype(float))
+def _lowest_level(lowest_pairs, most: int) -> tuple[float, np.ndarray]:
+    """(E0, ground-level columns) from ``lowest_pairs(m)``, the m lowest (values, vectors).
+
+    m starts at 2 and doubles, up to ``most``, until the last value lies outside the level.
+    """
+    m = min(2, most)
+    while True:
+        vals, vecs = lowest_pairs(m)
+        low = vals <= vals[0] + LEVEL_TOL * max(1.0, abs(vals[0]))
+        if not low[-1] or m == most:
+            return float(vals[0]), vecs[:, low]
+        m = min(2 * m, most)
+
+
+def _dense_level(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    return _lowest_level(lambda m: _checked_eigh(matrix, "Hamiltonian matrix", lowest=m), len(matrix))
+
+
+def _block_operator(block: SpinBlock, k: np.ndarray, garr: np.ndarray, e_nuc: float) -> LinearOperator:
+    """sigma = e·c + K c + 1/2 T(G(S c)) on the block, never forming H.
+
+    The pair index runs over p ≤ q: with F_pq = E_pq + E_qp (F_pp = E_pp), k and
+    g symmetric in p <-> q give K = sum_{p≤q} k_pq F_pq and the two-body part
+    1/2 sum_{p≤q} F_pq sum_{r≤s} g_pqrs F_rs. S stacks the F_pq (row pair*d + row),
+    so S c holds every F_pq c; T puts them side by side, T(Y) = sum F_pq Y_pq.
+    k and the pair-space g are symmetrized, as the dense path symmetrizes H.
+    """
+    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(garr)) and math.isfinite(e_nuc)):
+        raise NumericalError("Hamiltonian operator has non-finite coefficients")
+    n = block.n_orbitals
+    p, q = np.triu_indices(n)
+    pair = np.zeros((n, n), dtype=np.int64)
+    pair[p, q] = pair[q, p] = np.arange(len(p))
+    rows, cols, pq, signs = block.table
+    d, m = len(block.states), len(p)
+    at = pair.ravel()[pq] * d
+    stacked = sp.csr_matrix((signs, (at + rows, cols)), shape=(m * d, d))
+    side_by_side = sp.csr_matrix((signs, (rows, at + cols)), shape=(d, m * d))
+    kpair = (0.5 * (k + k.T))[p, q]
+    gpair = garr[p, q][:, p, q]
+    gpair = 0.5 * (gpair + gpair.T)
+
+    def matvec(c: np.ndarray) -> np.ndarray:
+        c = c.ravel()
+        excited = (stacked @ c).reshape(m, d)
+        sigma = e_nuc * c + kpair @ excited + 0.5 * (side_by_side @ (gpair @ excited).ravel())
+        if not np.all(np.isfinite(sigma)):
+            raise NumericalError("Hamiltonian operator overflows on a vector")
+        return sigma
+
+    return LinearOperator((d, d), matvec=matvec, dtype=float)
+
+
+def _lanczos_pairs(op: LinearOperator, m: int, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The m lowest eigenpairs by eigsh(which="SA"), ascending; failures raise NumericalError."""
+    try:
+        vals, vecs = eigsh(op, k=m, which="SA", v0=v0, tol=EIGSH_TOL)
+    except ArpackError as exc:
+        raise NumericalError(f"Lanczos solve of the Hamiltonian failed: {exc}") from exc
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))):
+        raise NumericalError("Hamiltonian operator has non-finite eigenvalues; its entries overflow")
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def block_ground_level(
+    block: SpinBlock, k: np.ndarray, garr: np.ndarray, e_nuc: float, v0: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """(E0, orthonormal columns spanning the ground level) of e_nuc + k·E + 1/2 g·EE on the block.
+
+    Dense up to DENSE_BLOCK_STATES states, matrix-free Lanczos past that;
+    ``v0`` warm-starts Lanczos (default: a fixed-seed random vector).
+    """
+    d = len(block.states)
+    if d <= DENSE_BLOCK_STATES:
+        return _dense_level(_dense_matrix(k, garr, e_nuc, block.table, d))
+    if v0 is None:
+        v0 = np.random.default_rng(0).standard_normal(d)
+    op = _block_operator(block, k, garr, e_nuc)
+    return _lowest_level(lambda m: _lanczos_pairs(op, m, v0), d - 1)
 
 
 def _sector_block(hd: DenseHamiltonian, n_electrons: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -194,17 +344,15 @@ def _spin_block_level(
 ) -> tuple[float, np.ndarray]:
     """(energy, level columns in the sector basis) of the 2M_s = N_e mod 2 block.
 
-    The level holds every eigenvector within 1e-8 * max(1, |E0|) of E0, so a
-    degeneracy inside the block comes whole; rows outside the block are zero.
+    Rows outside the block are zero.
     """
     basis = np.asarray(states)
     two_ms = np.bitwise_count(basis & ((1 << n) - 1)).astype(int) - np.bitwise_count(basis >> n)
     keep = np.flatnonzero(two_ms == n_electrons % 2)
-    vals, vecs = _checked_eigh(block[np.ix_(keep, keep)], "Hamiltonian matrix")
-    low = vals <= vals[0] + 1e-8 * max(1.0, abs(vals[0]))
-    level = np.zeros((len(basis), int(np.count_nonzero(low))))
-    level[keep] = vecs[:, low]
-    return float(vals[0]), level
+    energy, vecs = _dense_level(block[np.ix_(keep, keep)])
+    level = np.zeros((len(basis), vecs.shape[1]))
+    level[keep] = vecs
+    return energy, level
 
 
 def ground_energy(hd: DenseHamiltonian, n_electrons: int | None = None) -> float:

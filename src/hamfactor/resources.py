@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .factorization import DoubleFactorization, FullRankFactorization
-from .norms import lambda_burg, split_directions
+from .norms import _burg_norm, one_body_norm, split_directions
 
 # per-step cost of applying the Givens network, per angle bit
 GIVENS_TOFFOLIS_PER_ANGLE_BIT = 30
@@ -140,7 +140,11 @@ def angle_record_count(fact: DoubleFactorization | FullRankFactorization) -> int
     full-rank cores every kept eigendirection contributes its support, which
     is what makes the unconstrained variant's lookup blow up.
     """
-    return int(sum(np.count_nonzero(v) for v in split_directions(fact)))
+    return _record_count(split_directions(fact))
+
+
+def _record_count(directions: list[np.ndarray]) -> int:
+    return int(sum(np.count_nonzero(v) for v in directions))
 
 
 def estimate(
@@ -149,8 +153,13 @@ def estimate(
     config: CostModelConfig = CostModelConfig(),
 ) -> ResourceEstimate:
     """Toffoli and logical-qubit totals for one phase-estimation run."""
-    lam = lambda_burg(fact, one_body)
-    n_records = angle_record_count(fact)
+    return _estimate(fact, one_body, config, split_directions(fact))
+
+
+def _estimate(fact, one_body, config: CostModelConfig, directions: list[np.ndarray]) -> ResourceEstimate:
+    """``estimate`` from the factorization's ``split_directions``, computed once by the caller."""
+    lam = one_body_norm(one_body, fact.a1_prime) + _burg_norm(directions)
+    n_records = _record_count(directions)
     if n_records == 0:
         raise ValidationError("factorization has no surviving directions to encode")
     if not lam > 0:
@@ -221,14 +230,15 @@ def kr_tradeoff_sweep(
 
     The optimum row minimizes Toffolis; k_r = 1 minimizes lookup ancillae.
     """
-    n_records = angle_record_count(fact)
+    directions = split_directions(fact)
+    n_records = _record_count(directions)
     if n_records == 0:
         raise ValidationError("factorization has no surviving directions to encode")
     k_auto = optimal_k(n_records, fact.n_orbitals * config.bits_rotations)
     rows = []
     k = 1
     while k <= min(2 * k_auto, n_records):
-        est = estimate(fact, one_body, replace(config, k_r=k))
+        est = _estimate(fact, one_body, replace(config, k_r=k), directions)
         rows.append(
             {
                 "k_r": k,

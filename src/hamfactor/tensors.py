@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 
@@ -28,12 +29,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked_eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of ``a``; a non-finite matrix or spectrum, or no convergence, raises NumericalError."""
+def _checked_eigh(a: np.ndarray, what: str, lowest: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of ``a``; a non-finite matrix or spectrum, or no convergence, raises NumericalError.
+
+    np.linalg.eigh gives every pair; ``lowest=m`` asks scipy for the m lowest only.
+    """
     if not np.all(np.isfinite(a)):
         raise NumericalError(f"{what} has non-finite entries")
     try:
-        vals, vecs = np.linalg.eigh(a)
+        if lowest is None:
+            vals, vecs = np.linalg.eigh(a)
+        else:
+            vals, vecs = scipy.linalg.eigh(a, subset_by_index=[0, lowest - 1], check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition of {what} failed: {exc}") from exc
     if not np.all(np.isfinite(vals)):

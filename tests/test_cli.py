@@ -178,6 +178,15 @@ def xdf_record(tmp_path_factory):
     return dump, dump.with_name(dump.name + ".xdf.json")
 
 
+@pytest.fixture(scope="module")
+def n11_record(tmp_path_factory):
+    """(FCIDUMP, record) of an N = 11 synthetic instance with NELEC = 11, factorized by xdf."""
+    dump = tmp_path_factory.mktemp("n11") / "n11.fcidump"
+    assert main(["synth", str(dump), "--orbitals", "11", "--components", "2"]) == 0
+    assert main(["factorize", str(dump), "--method", "xdf", "--ndf", "2"]) == 0
+    return dump, dump.with_name(dump.name + ".xdf.json")
+
+
 def _corrupt(data: dict, case: str) -> dict:
     leaf = data["leaves"][0]
     if case == "nan_in_w":
@@ -371,6 +380,22 @@ def test_verify_fci_overlaps_span_a_degenerate_ground_level(tmp_path, capsys):
     assert fci["exact_eigenvector_overlap"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_verify_fci_energy_fidelity_at_n8(tmp_path, capsys):
+    # N = 8 (4900-state block) runs matrix-free; SCDF keeps the ground energy
+    dump = data_path("chain_n08.fcidump")
+    record = tmp_path / "n08.json"
+    argv = ["factorize", dump, "--method", "scdf", "--max-outer", "2", "--output", str(record)]
+    assert run(capsys, *argv)[0] == 0
+    code, payload = run(capsys, "verify", str(record), dump, "--fci")
+    assert code == 0
+    fci = payload["fci"]
+    assert fci["n_electrons"] == 8
+    assert fci["shift_correction_residual"] < 1e-9
+    assert fci["delta_factorized"] < 1.6e-3
+    assert fci["shift_eigenvector_overlap"] == pytest.approx(1.0, abs=1e-9)
+    assert fci["exact_eigenvector_overlap"] > 0.999
+
+
 @pytest.mark.parametrize(
     "header, flag, expected",
     [
@@ -497,6 +522,8 @@ def _write_integrals(dump, path, values, norb=None):
         (["factorize", "{huge_g}", "--method", "cdf", "--max-outer", "1", "--ndf", "4"], 3, "factorize"),
         # found by the fuzz test: the Frobenius error overflowed to inf and failed at write-output
         (["verify", "{record}", "{huge_g}"], 3, "verify"),
+        # N = 11 at half filling: a 213444-state spin block, refused before it is built
+        (["verify", "{n11_record}", "{n11_dump}", "--fci"], 2, "fci"),
     ],
     ids=[
         "resources_output", "verify_output", "sweep_output", "synth_output", "non_utf8_fcidump",
@@ -504,11 +531,13 @@ def _write_integrals(dump, path, values, norb=None):
         "ndf_abc", "kr_3", "kr_x", "eps_0", "synth_orbitals_0",
         "f_overflow", "eigs_overflow", "first_eigh_fails", "second_eigh_fails", "one_body_eigh_fails",
         "scdf_generator_eigh_fails", "cdf_generator_eigh_fails", "frobenius_overflow_verify",
+        "block_over_cap",
     ],
 )
-def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, argv, code, stage):
+def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_record, argv, code, stage):
     dump, record = xdf_record
     paths = {"dump": dump, "record": record, "tmp": tmp_path, "missing": tmp_path / "missing" / "x"}
+    paths["n11_dump"], paths["n11_record"] = n11_record
     paths.update({name: tmp_path / f"{name}.input" for name in (
         "binary", "huge_w", "huge_alpha", "f_overflow", "eigs_overflow",
         "first_eigh_fails", "second_eigh_fails", "one_body_eigh_fails", "huge_g",
@@ -524,7 +553,10 @@ def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, argv, 
     _write_integrals(dump, paths["huge_g"], {"1 1 1 1": "1e200"})
     capsys.readouterr()
     assert main([arg.format(**paths) for arg in argv]) == code
-    assert assert_one_stage_label(code, capsys.readouterr().err) == stage
+    err = capsys.readouterr().err
+    assert assert_one_stage_label(code, err) == stage
+    if "{n11_record}" in argv:
+        assert "213444 states" in err
 
 
 # Boundary fuzzing: mutate up to three FCIDUMP entries or one record field and

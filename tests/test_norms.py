@@ -99,13 +99,28 @@ def test_split_directions_rank1_counts(small_instance):
     assert len(directions) == fact.n_leaves
 
 
+def per_core_directions(fact):
+    """Full-rank split_directions one core and one eigenpair at a time (the reference)."""
+    out = []
+    for v in fact.cores:
+        vals, vecs = np.linalg.eigh(0.5 * (v + v.T))
+        for lam, vec in zip(vals, vecs.T):
+            scaled = hf.truncate_factors(np.sqrt(abs(lam)) * vec, fact.thresholds.delta_df, "component")
+            if np.any(scaled):
+                out.append(scaled)
+    return out
+
+
 def test_split_directions_full_rank(small_instance):
     g, _ = small_instance
-    fact, _ = hf.optimize_cdf(g, 4, hf.OptimizerConfig(rho=0.0, max_outer_iters=4))
+    fact, _ = hf.optimize_cdf(g, 4, hf.OptimizerConfig(rho=0.0, max_outer_iters=4, delta_df=0.05))
     directions = hf.split_directions(fact)
     assert directions, "full-rank cores must yield eigendirections"
-    for v in directions:
+    reference = per_core_directions(fact)
+    assert len(directions) == len(reference) < 4 * fact.n_leaves  # the cut drops some
+    for v, ref in zip(directions, reference):
         assert v.shape == (4,)
+        assert np.array_equal(v, ref)
     total = sum(0.25 * float(np.sum(np.abs(v))) ** 2 for v in directions)
     assert hf.two_body_burg_norm(fact) == pytest.approx(total, rel=1e-12)
 

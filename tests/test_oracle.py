@@ -1,12 +1,14 @@
 """Exact-diagonalization cross-checks between independent constructions."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hamfactor as hf
+from hamfactor import oracle
 from hamfactor.errors import ValidationError
 from hamfactor.oracle import (
     MAX_FULL_SPACE_QUBITS,
@@ -14,6 +16,9 @@ from hamfactor.oracle import (
     _ground_space,
     _one_body_operator,
     _operator_basis,
+    block_ground_level,
+    encoded_integrals,
+    spin_block,
 )
 
 from conftest import data_path, make_instance, make_one_body
@@ -99,7 +104,7 @@ def test_hamiltonian_commutes_with_number_operator():
     g, _ = make_instance(3, seed=13)
     ob = make_one_body(g, seed=13)
     hd = hf.build_from_integrals(ob.k, g)
-    nop = hf.number_operator(hd)
+    nop = np.diag(np.bitwise_count(np.asarray(hd.basis)).astype(float))
     comm = hd.matrix @ nop - nop @ hd.matrix
     assert np.max(np.abs(comm)) < 1e-10
 
@@ -281,3 +286,72 @@ def test_factorized_builder_matches_squared_direction_reference(n, sector):
         built = hf.build_from_factorization(fact, ob, sector=sector)
         reference = squared_direction_reference(fact, ob, sector)
         assert np.max(np.abs(built.matrix - reference)) <= 1e-12
+
+
+def chain_problem(n):
+    g, h, e_nuc, _ = hf.parse_fcidump(data_path(f"chain_n{n:02d}.fcidump"))
+    return g, hf.derive_one_body(h, g, e_nuc)
+
+
+def block_cases():
+    """(n, N_e, g, one body): N = 2-4 at every N_e, then chain_n06 and chain_n07 at half filling."""
+    for n in (2, 3, 4):
+        g, _ = make_instance(n, seed=60 + n)
+        ob = make_one_body(g, seed=60 + n, e_nuc=0.2)
+        for ne in range(1, 2 * n):
+            yield n, ne, g, ob
+    for n in (6, 7):
+        yield (n, n, *chain_problem(n))
+
+
+def test_spin_block_level_matches_whole_sector():
+    for n, ne, g, ob in block_cases():
+        block = spin_block(n, ne)
+        reference = hf.build_from_integrals(ob.k, g, ob.e_nuc, sector=ne)
+        e_ref, level_ref, states = _ground_space(reference, ne)
+        at = np.searchsorted(states, block.states)
+        assert np.array_equal(np.asarray(states)[at], block.states)
+        outside = np.setdiff1d(np.arange(len(states)), at)
+        assert not np.any(level_ref[outside])
+        energy, level = block_ground_level(block, ob.k, g.g, ob.e_nuc)
+        assert energy == pytest.approx(e_ref, abs=1e-10)
+        assert level.shape[1] == level_ref.shape[1]
+        assert np.max(np.abs(level @ level.T - level_ref[at] @ level_ref[at].T)) < 1e-8
+        if n == 6:  # the 5-fold sector level has one member in the block
+            assert len(states) == 924 and level.shape == (400, 1)
+
+
+def dense_and_lanczos(monkeypatch, block, k, garr, e_nuc, v0=None):
+    dense = block_ground_level(block, k, garr, e_nuc)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "DENSE_BLOCK_STATES", 0)
+        lanczos = block_ground_level(block, k, garr, e_nuc, v0=v0)
+    return dense, lanczos
+
+
+def test_matrix_free_level_matches_dense(monkeypatch):
+    cases = [case for case in block_cases() if len(spin_block(case[0], case[1]).states) >= 9]
+    assert len(cases) > 5
+    for n, ne, g, ob in cases:
+        block = spin_block(n, ne)
+        integrals = [(ob.k, g.g)]
+        integrals.append(encoded_integrals(hf.explicit_factorization(g, 2 * n, 1e-4), ob.f))
+        v0 = None
+        for k, garr in integrals:
+            (e_dense, dense), (e_free, free) = dense_and_lanczos(monkeypatch, block, k, garr, ob.e_nuc, v0)
+            assert e_free == pytest.approx(e_dense, abs=1e-10)
+            assert free.shape == dense.shape
+            # norms of projections, as verify --fci reports them
+            assert np.linalg.norm(free[:, 0] @ dense) == pytest.approx(1.0, abs=1e-8)
+            assert np.linalg.norm(dense[:, 0] @ free) == pytest.approx(1.0, abs=1e-8)
+            v0 = dense[:, 0]  # warm-start the encoded solve, as verify --fci does
+
+
+def test_spin_block_refuses_before_allocating():
+    with pytest.raises(ValidationError, match="213444 states"):
+        spin_block(11, 11)
+    assert math.comb(10, 5) ** 2 == 63504 <= oracle.MAX_BLOCK_STATES  # N = 10 passes
+    with pytest.raises(ValidationError, match="empty"):
+        spin_block(3, 7)
+    with pytest.raises(ValidationError, match="64-bit"):
+        spin_block(32, 1)

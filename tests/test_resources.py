@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamfactor as hf
+from hamfactor import resources
 from hamfactor.errors import ValidationError
 from hamfactor.factorization import DoubleFactorization, Thresholds
 from hamfactor.resources import angle_record_count, qrom_erasure_cost
@@ -165,3 +166,17 @@ def test_kr_sweep_optimum_flag(small_instance):
     assert flagged[0]["toffoli_per_step"] == best
     # qubits fall as k_r shrinks toward 1 (lookup ancillae dominate the sweep)
     assert rows[0]["logical_qubits"] == min(r["logical_qubits"] for r in rows)
+
+
+def test_one_direction_pass_per_call(monkeypatch, small_instance):
+    g, _ = small_instance
+    fact = hf.explicit_factorization(g, 8)
+    ob = make_one_body(g, seed=4)
+    expected = (hf.estimate(fact, ob), hf.kr_tradeoff_sweep(fact, ob))
+    passes = []
+    split = resources.split_directions
+    monkeypatch.setattr(resources, "split_directions", lambda f: passes.append(f) or split(f))
+    assert hf.estimate(fact, ob) == expected[0]
+    assert len(passes) == 1
+    assert hf.kr_tradeoff_sweep(fact, ob) == expected[1]
+    assert len(expected[1]) > 1 and len(passes) == 2
