@@ -153,16 +153,6 @@ def grad_scdf_u(g: TwoElectronTensor, u: np.ndarray, w: np.ndarray) -> np.ndarra
     return _grad_u_rank1(u, w, y)
 
 
-def _grad_to_generator(x: np.ndarray, grad_u: np.ndarray) -> np.ndarray:
-    """Pull U-space gradients back to the antisymmetric generators.
-
-    Per leaf this is D expm(X^T)[G] − (D expm(X^T)[G])^T, the adjoint of
-    E ↦ D expm(X)[E] restricted to antisymmetric E, evaluated from the
-    eigendecomposition of X (see ``_pull_back``).
-    """
-    return _pull_back(_eig_generators(x), grad_u)
-
-
 def grad_scdf_x(g: TwoElectronTensor, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Generator-space gradient at U = expm(X); antisymmetric per leaf."""
     eig = _eig_generators(x)
@@ -286,6 +276,8 @@ def _rotations(eig: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 def _pull_back(eig: tuple[np.ndarray, np.ndarray], grad_u: np.ndarray) -> np.ndarray:
     """Generator-space gradients from U-space ones, via Daleckii–Krein.
 
+    Per leaf this is D expm(X^T)[G] − (D expm(X^T)[G])^T, the adjoint of
+    E ↦ D expm(X)[E] restricted to antisymmetric E.
     X^T = −X has eigenvalues −μ = conj(μ) on the same V, so
     D expm(X^T)[G] = V((V^H G V) ∘ conj Φ)V^H with the divided differences
     Φ_ij = (e^μ_i − e^μ_j)/(μ_i − μ_j), formed as e^μ_j expm1(d)/d for

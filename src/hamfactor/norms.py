@@ -33,21 +33,6 @@ def one_body_norm(one_body, a1_prime: float = 0.0) -> float:
     return float(np.sum(np.abs(_f_eigs(one_body) - a1_prime)))
 
 
-def leaf_split_vectors(fact: DoubleFactorization) -> list[list[tuple[np.ndarray, int]]]:
-    """Signed split vectors of each leaf's encoded core, δ_DF-truncated.
-
-    Unshifted leaves give [(W^t, sign_t)]; shifted leaves give the P/Q pair
-    (or two same-sign directions when α^t < 0).
-    """
-    delta = fact.thresholds.delta_df
-    out = []
-    for w, alpha, sign in zip(fact.factors, fact.shifts, fact.signs):
-        pairs = signed_split(w, alpha, sign)
-        pairs = [(truncate_factors(v, delta, "component"), s) for v, s in pairs]
-        out.append([(v, s) for v, s in pairs if np.any(v)])
-    return out
-
-
 def _encoded_cores(fact: DoubleFactorization) -> list[np.ndarray]:
     cores = []
     for w, alpha, sign in zip(fact.factors, fact.shifts, fact.signs):
@@ -75,6 +60,7 @@ def split_directions(fact: DoubleFactorization | FullRankFactorization) -> list[
     per kept eigendirection. The per-direction nonzero counts are exactly the
     rotation-angle records the data lookup stores.
     """
+    delta = fact.thresholds.delta_df
     if isinstance(fact, FullRankFactorization):
         if not fact.cores:
             return []
@@ -82,11 +68,16 @@ def split_directions(fact: DoubleFactorization | FullRankFactorization) -> list[
         vals, vecs = np.linalg.eigh(0.5 * (cores + cores.transpose(0, 2, 1)))
         # row j of scaled[t] is √|λ_j| times eigenvector j of core t
         scaled = np.sqrt(np.abs(vals))[:, :, None] * vecs.transpose(0, 2, 1)
-        delta = fact.thresholds.delta_df
         if delta > 0:  # truncate_factors' "component" rule
             scaled = np.where(np.abs(scaled) >= delta, scaled, 0.0)
         return list(scaled[np.any(scaled, axis=2)])
-    return [v for pairs in leaf_split_vectors(fact) for v, _sign in pairs]
+    directions = []
+    for w, alpha, sign in zip(fact.factors, fact.shifts, fact.signs):
+        for v, _sign in signed_split(w, alpha, sign):
+            v = truncate_factors(v, delta, "component")
+            if np.any(v):
+                directions.append(v)
+    return directions
 
 
 def _burg_norm(directions: list[np.ndarray]) -> float:

@@ -1,4 +1,4 @@
-"""Exact-diagonalization oracle: whole-sector dense matrices and one spin block.
+"""Exact-diagonalization oracle: dense matrices and one spin block, from one pair operator.
 
 Builds the qubit Hamiltonian under the Jordan-Wigner convention: qubit i is
 spin orbital i, orbital-major with the up block first (orbital p maps to
@@ -15,27 +15,27 @@ g̃ = reconstruct_tensor(fact) (``encoded_integrals``). So the oracle reads a
 factorization only through its reconstruction and its shift fields; the
 squared-direction construction itself is kept as a test reference.
 
-The assembly reads one excitation table: arrays (row, col, pq, sign) of every
-nonzero <row|E_pq|col>, found for all states at once by bit masks, popcount
-parities and a sorted search. A one-body operator is one sparse matrix over
-it; the two-body part is one product of side-by-side E_pq and stacked A_pq
-blocks.
+Every basis (a whole sector, the whole Fock space or one spin block) is a
+``Basis``: sorted occupation strings and one sparse pair operator
+T = [F_1 ... F_M] over the M = N(N+1)/2 pairs p ≤ q, F_pq = E_pq + E_qp
+(F_pp = E_pp). T is filled from one table of every nonzero <row|E_pq|col>,
+found for all states at once by bit masks, popcount parities and a sorted
+search. On the pair form (k_a, G_ab) of (k, g), H is built from T alone:
+densely as e·I + sum_a k_a F_a + 1/2 T·A, A stacking the blocks
+sum_b G_ab F_b, or matrix-free as sigma = e·c + K c + 1/2 T(G(T^T c)), the
+symmetric F_a making T^T their stack.
 
 Agreement of the builds is the ground truth for factorization fidelity and
-for the shift-correction identity. Two bases serve it:
+for the shift-correction identity:
 
 * ``build_from_integrals`` / ``build_from_factorization`` give a dense
   matrix over a whole particle-number sector (capped at 14 qubits) or the
   whole Fock space (12 qubits), for tests that compare matrices.
-* ``spin_block`` lists one spin block's states and builds their table once;
-  ``block_ground_level`` solves any (k, g, e_nuc) on it. ``verify --fci``
-  solves its exact, encoded and bare Hamiltonians this way. Up to
-  DENSE_BLOCK_STATES states the block matrix is dense and solved for its
-  lowest eigenpairs only; past that an ARPACK Lanczos solve (``eigsh``) runs
-  on the matrix-free product sigma = e·c + K c + 1/2 T(G(S c)), with S and T
-  the table's stacked and side-by-side pair operators E_pq + E_qp (p ≤ q)
-  and G the matching N(N+1)/2-square form of g. Blocks over
-  MAX_BLOCK_STATES states are refused.
+* ``block_ground_level`` solves any (k, g, e_nuc) on one ``spin_block``, as
+  ``verify --fci`` does for its exact, encoded and bare Hamiltonians: dense
+  and for the lowest eigenpairs only up to DENSE_BLOCK_STATES states, by an
+  ARPACK Lanczos solve (``eigsh``) of the matrix-free product past that.
+  Blocks over MAX_BLOCK_STATES states are refused.
 
 Ground levels come from the spin block with 2M_s = N_e mod 2, not from the
 whole sector. H is built from the spin-summed E_pq, so it conserves each
@@ -48,7 +48,7 @@ unchanged by dropping the level's other M_s members: the level's projector
 commutes with S_z, so it maps the block into itself. The block's states are
 the products of the C(N, n_up) up strings and C(N, n_down) down strings with
 n_up = ceil(N_e/2), the determinant-CI layout of Knowles & Handy (1984);
-spin-conserving hops map the block into itself, so its table is closed.
+spin-conserving hops map the block into itself, so its T is closed.
 
 A ground level holds every eigenvalue within LEVEL_TOL·max(1, |E0|) of E0.
 Both solvers ask for the m lowest pairs and double m until the last one lies
@@ -69,7 +69,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from .errors import NumericalError, ValidationError
 from .factorization import DoubleFactorization, reconstruct_tensor
 from .shift import shifted_tensor
-from .tensors import OneBodyTensors, TwoElectronTensor, _checked_eigh
+from .tensors import OneBodyTensors, TwoElectronTensor, _checked_eigh, _packing
 
 MAX_QUBITS = 14
 MAX_FULL_SPACE_QUBITS = 12
@@ -109,8 +109,32 @@ def _transitions(n: int, states: np.ndarray) -> tuple[np.ndarray, ...]:
     return rows, cols, pq[hop], np.where(below[hop, cols] & 1, -1.0, 1.0)
 
 
-def _operator_basis(n: int, sector: int | str) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Sorted occupation strings of the sector and their excitation table."""
+@dataclass(frozen=True)
+class Basis:
+    """Sorted occupation strings and T, d x M·d, whose block a (columns a·d on) is F_a.
+
+    Pairs run in ``_packing`` order; E_pq^T = E_qp makes every F_a symmetric.
+    """
+
+    states: np.ndarray
+    pairs: sp.csr_matrix
+
+
+def _basis(n: int, states: np.ndarray) -> Basis:
+    """The states and T, filled straight from ``_transitions`` and sorted by row once."""
+    rows, cols, pq, signs = _transitions(n, states)
+    p, q, _ = _packing(n)
+    pair = np.zeros((n, n), dtype=np.int64)
+    pair[p, q] = pair[q, p] = np.arange(len(p))
+    d = len(states)
+    # E_pq and E_qp (p ≠ q) hop in opposite directions, so their entries never
+    # meet; both spins of E_pp meet on the diagonal and are summed
+    pairs = sp.csr_matrix((signs, (rows, pair.ravel()[pq] * d + cols)), shape=(d, len(p) * d))
+    return Basis(states, pairs)
+
+
+def _operator_basis(n: int, sector: int | str) -> Basis:
+    """The sector's (or the whole Fock space's) sorted occupation strings and their T."""
     n_qubits = 2 * n
     cap = MAX_QUBITS if sector != "all" else MAX_FULL_SPACE_QUBITS
     if n_qubits > cap:
@@ -125,39 +149,41 @@ def _operator_basis(n: int, sector: int | str) -> tuple[np.ndarray, tuple[np.nda
         if sector < 0 or sector > n_qubits:
             raise ValidationError(f"sector {sector} is empty for {n_qubits} spin orbitals")
         states = states[np.bitwise_count(states) == sector]
-    return states, _transitions(n, states)
+    return _basis(n, states)
 
 
-def _one_body_operator(coeff: np.ndarray, table, d: int) -> sp.csr_matrix:
-    """sum_pq coeff_pq E_pq."""
-    rows, cols, pq, signs = table
-    return sp.csr_matrix((np.ravel(coeff)[pq] * signs, (rows, cols)), shape=(d, d))
+def _pair_integrals(k: np.ndarray, garr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k_pair, G): k and g read on the pairs p ≤ q of ``_packing``, symmetrized.
 
-
-def _two_body_operator(garr: np.ndarray, table, d: int) -> sp.csr_matrix:
-    """sum_pq E_pq A_pq with A_pq = sum_rs g_pqrs E_rs, as one sparse product.
-
-    [E_00 E_01 ...] (column pq*d + col) times [A_00; A_01; ...] (row pq*d + row);
-    sorted by row, the table gives every A block as one CSR block on its columns.
+    A k asymmetric in p <-> q enters as (k + k^T)/2, as the symmetrized H reads it.
     """
-    m = garr.shape[0] ** 2
-    order = np.argsort(table[0])
-    rows, cols, pq, signs = (a[order] for a in table)
-    blocks = sp.csr_matrix((signs, (rows, pq * d + cols)), shape=(d, m * d))
-    coupled = np.take(garr.reshape(m, m), pq, axis=1)
-    coupled *= signs
-    starts = (np.arange(m)[:, None] * len(rows) + np.searchsorted(rows, np.arange(d))).ravel()
-    # C-order data (np.take, not [:, pq]) and int32 columns: scipy copies neither
-    return blocks @ sp.csr_matrix(
-        (coupled.ravel(), np.tile(cols.astype(np.int32), m), np.append(starts, coupled.size)),
-        shape=(m * d, d),
+    p, q, _ = _packing(k.shape[0])
+    gpair = garr[p, q][:, p, q]
+    return (0.5 * (k + k.T))[p, q], 0.5 * (gpair + gpair.T)
+
+
+def _pair_sums(pairs: sp.csr_matrix, weights: np.ndarray) -> sp.csr_matrix:
+    """The blocks sum_b weights[a, b] F_b stacked by a (row a·d + row), as one CSR.
+
+    T's row-sorted ``indptr``/``indices``/``data`` give every block directly.
+    """
+    d = pairs.shape[0]
+    b, cols = np.divmod(pairs.indices, d)
+    data = np.take(weights, b, axis=1)  # C order, so scipy does not copy it
+    data *= pairs.data
+    starts = (np.arange(len(weights))[:, None] * pairs.nnz + pairs.indptr[:-1]).ravel()
+    return sp.csr_matrix(
+        (data.ravel(), np.tile(cols, len(weights)), np.append(starts, data.size)),
+        shape=(len(weights) * d, d),
     )
 
 
-def _dense_matrix(k: np.ndarray, garr: np.ndarray, e_nuc: float, table, d: int) -> np.ndarray:
-    """Dense e_nuc + sum k_pq E_pq + 1/2 sum g_pqrs E_pq E_rs over the table's states."""
+def _dense_matrix(k: np.ndarray, garr: np.ndarray, e_nuc: float, basis: Basis) -> np.ndarray:
+    """Dense e_nuc + sum_a k_a F_a + 1/2 T·A over the basis, A stacking sum_b G_ab F_b."""
+    kpair, gpair = _pair_integrals(k, garr)
+    d, pairs = len(basis.states), basis.pairs
     ham = sp.identity(d, format="csr") * float(e_nuc)
-    ham = ham + _one_body_operator(k, table, d) + 0.5 * _two_body_operator(garr, table, d)
+    ham = ham + _pair_sums(pairs, kpair[None, :]) + 0.5 * (pairs @ _pair_sums(pairs, gpair))
     dense = ham.toarray()
     dense += dense.T  # numpy buffers the overlapping transpose
     dense *= 0.5
@@ -166,8 +192,8 @@ def _dense_matrix(k: np.ndarray, garr: np.ndarray, e_nuc: float, table, d: int) 
 
 def _assemble(k: np.ndarray, garr: np.ndarray, e_nuc: float, sector: int | str) -> DenseHamiltonian:
     n = k.shape[0]
-    states, table = _operator_basis(n, sector)
-    return DenseHamiltonian(_dense_matrix(k, garr, e_nuc, table, len(states)), tuple(states.tolist()), 2 * n, sector)
+    basis = _operator_basis(n, sector)
+    return DenseHamiltonian(_dense_matrix(k, garr, e_nuc, basis), tuple(basis.states.tolist()), 2 * n, sector)
 
 
 def build_from_integrals(
@@ -176,10 +202,11 @@ def build_from_integrals(
     """Dense H = e_nuc + sum k_pq E_pq + 1/2 sum g_pqrs E_pq E_rs.
 
     ``k`` is the bare-product one-body coefficient (h already reduced by
-    the half exchange trace), ``g`` the chemists'-convention tensor.
+    the half exchange trace), ``g`` the chemists'-convention tensor; a raw
+    array passes the 8-fold symmetry check of ``TwoElectronTensor``.
     """
     k = np.asarray(k, dtype=float)
-    garr = np.asarray(getattr(g, "g", g), dtype=float)
+    garr = (g if isinstance(g, TwoElectronTensor) else TwoElectronTensor(g)).g
     n = k.shape[0]
     if garr.shape != (n, n, n, n):
         raise ValidationError("one- and two-body dimensions disagree")
@@ -211,24 +238,15 @@ def build_from_factorization(
     return _assemble(k, garr, one_body.e_nuc, sector)
 
 
-@dataclass(frozen=True)
-class SpinBlock:
-    """The 2M_s = N_e mod 2 block of the N_e-electron sector: sorted states and their table."""
-
-    n_orbitals: int
-    states: np.ndarray
-    table: tuple[np.ndarray, ...]
-
-
 def _strings(n: int, count: int) -> np.ndarray:
     """Every n-bit occupation string with ``count`` bits set, sorted."""
     return np.sort(np.array([sum(1 << i for i in c) for c in combinations(range(n), count)], dtype=np.int64))
 
 
-def spin_block(n: int, n_electrons: int) -> SpinBlock:
-    """States up ⊗ down with n_up = ceil(N_e/2), n_down = floor(N_e/2), and their one table.
+def spin_block(n: int, n_electrons: int) -> Basis:
+    """The 2M_s = N_e mod 2 block of N_e electrons: states up ⊗ down, and their T.
 
-    The size is checked against MAX_BLOCK_STATES before anything is allocated.
+    n_up = ceil(N_e/2) and n_down = floor(N_e/2). The size is checked against MAX_BLOCK_STATES before anything is allocated.
     """
     n_up, n_down = (n_electrons + 1) // 2, n_electrons // 2
     if n_electrons < 0 or n_up > n:
@@ -242,7 +260,7 @@ def spin_block(n: int, n_electrons: int) -> SpinBlock:
             f"{size} states, over the {MAX_BLOCK_STATES}-state bound"
         )
     states = ((_strings(n, n_down) << n)[:, None] | _strings(n, n_up)).ravel()
-    return SpinBlock(n, states, _transitions(n, states))
+    return _basis(n, states)
 
 
 def _lowest_level(lowest_pairs, most: int) -> tuple[float, np.ndarray]:
@@ -263,29 +281,17 @@ def _dense_level(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return _lowest_level(lambda m: _checked_eigh(matrix, "Hamiltonian matrix", lowest=m), len(matrix))
 
 
-def _block_operator(block: SpinBlock, k: np.ndarray, garr: np.ndarray, e_nuc: float) -> LinearOperator:
-    """sigma = e·c + K c + 1/2 T(G(S c)) on the block, never forming H.
+def _block_operator(block: Basis, k: np.ndarray, garr: np.ndarray, e_nuc: float) -> LinearOperator:
+    """sigma = e·c + K c + 1/2 T(G(T^T c)) on the block, never forming H.
 
-    The pair index runs over p ≤ q: with F_pq = E_pq + E_qp (F_pp = E_pp), k and
-    g symmetric in p <-> q give K = sum_{p≤q} k_pq F_pq and the two-body part
-    1/2 sum_{p≤q} F_pq sum_{r≤s} g_pqrs F_rs. S stacks the F_pq (row pair*d + row),
-    so S c holds every F_pq c; T puts them side by side, T(Y) = sum F_pq Y_pq.
-    k and the pair-space g are symmetrized, as the dense path symmetrizes H.
+    Every F_a is symmetric, so T^T (a CSC view of T, no copy) stacks them:
+    T^T c holds every F_a c, and T(Y) = sum_a F_a Y_a.
     """
     if not (np.all(np.isfinite(k)) and np.all(np.isfinite(garr)) and math.isfinite(e_nuc)):
         raise NumericalError("Hamiltonian operator has non-finite coefficients")
-    n = block.n_orbitals
-    p, q = np.triu_indices(n)
-    pair = np.zeros((n, n), dtype=np.int64)
-    pair[p, q] = pair[q, p] = np.arange(len(p))
-    rows, cols, pq, signs = block.table
-    d, m = len(block.states), len(p)
-    at = pair.ravel()[pq] * d
-    stacked = sp.csr_matrix((signs, (at + rows, cols)), shape=(m * d, d))
-    side_by_side = sp.csr_matrix((signs, (rows, at + cols)), shape=(d, m * d))
-    kpair = (0.5 * (k + k.T))[p, q]
-    gpair = garr[p, q][:, p, q]
-    gpair = 0.5 * (gpair + gpair.T)
+    kpair, gpair = _pair_integrals(k, garr)
+    side_by_side, stacked = block.pairs, block.pairs.T
+    d, m = len(block.states), len(kpair)
 
     def matvec(c: np.ndarray) -> np.ndarray:
         c = c.ravel()
@@ -311,7 +317,7 @@ def _lanczos_pairs(op: LinearOperator, m: int, v0: np.ndarray) -> tuple[np.ndarr
 
 
 def block_ground_level(
-    block: SpinBlock, k: np.ndarray, garr: np.ndarray, e_nuc: float, v0: np.ndarray | None = None
+    block: Basis, k: np.ndarray, garr: np.ndarray, e_nuc: float, v0: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """(E0, orthonormal columns spanning the ground level) of e_nuc + k·E + 1/2 g·EE on the block.
 
@@ -320,7 +326,7 @@ def block_ground_level(
     """
     d = len(block.states)
     if d <= DENSE_BLOCK_STATES:
-        return _dense_level(_dense_matrix(k, garr, e_nuc, block.table, d))
+        return _dense_level(_dense_matrix(k, garr, e_nuc, block))
     if v0 is None:
         v0 = np.random.default_rng(0).standard_normal(d)
     op = _block_operator(block, k, garr, e_nuc)

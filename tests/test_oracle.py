@@ -14,7 +14,6 @@ from hamfactor.oracle import (
     MAX_FULL_SPACE_QUBITS,
     MAX_QUBITS,
     _ground_space,
-    _one_body_operator,
     _operator_basis,
     block_ground_level,
     encoded_integrals,
@@ -67,17 +66,43 @@ def ladder_product(p, q, states):
     return out
 
 
+def ladder_operators(n, states):
+    """E[p, q] = a^dag_p↑ a_q↑ + a^dag_p↓ a_q↓ as dense matrices over ``states``."""
+    return np.array(
+        [[ladder_product(p, q, states) + ladder_product(p + n, q + n, states) for q in range(n)] for p in range(n)]
+    )
+
+
+def pair_blocks(basis):
+    """The blocks F_a of the basis' pair operator T, in pair order."""
+    d = len(basis.states)
+    return [basis.pairs[:, a * d : (a + 1) * d] for a in range(basis.pairs.shape[1] // d)]
+
+
 @pytest.mark.parametrize("sector", ["all", 3])
 def test_excitation_table_matches_per_state_ladder_products(sector):
     n = 3
-    states, table = _operator_basis(n, sector)
-    basis = states.tolist()
-    for p in range(n):
-        for q in range(n):
-            coeff = np.zeros((n, n))
-            coeff[p, q] = 1.0
-            expected = ladder_product(p, q, basis) + ladder_product(p + n, q + n, basis)
-            assert np.array_equal(_one_body_operator(coeff, table, len(basis)).toarray(), expected)
+    basis = _operator_basis(n, sector)
+    ladders = ladder_operators(n, basis.states.tolist())
+    blocks = pair_blocks(basis)
+    assert len(blocks) == n * (n + 1) // 2
+    for block, (p, q) in zip(blocks, zip(*np.triu_indices(n))):
+        expected = ladders[p, q]
+        if p != q:
+            # E_pq and E_qp hop in opposite directions: no entry of one can
+            # cancel or hide an entry of the other in F_pq = E_pq + E_qp
+            assert np.any(ladders[p, q]) and not np.any(ladders[p, q] * ladders[q, p])
+            expected = expected + ladders[q, p]
+        assert np.array_equal(block.toarray(), expected)
+
+
+def test_pair_blocks_are_symmetric():
+    # the matrix-free product reads T^T as the stack of the F_a
+    bases = [_operator_basis(n, sector) for n in (2, 3, 4) for sector in ["all", *range(2 * n + 1)]]
+    bases.append(spin_block(6, 6))
+    for basis in bases:
+        for block in pair_blocks(basis):
+            assert (block != block.T).nnz == 0
 
 
 def test_h2_fci_against_two_determinant_ci(h2_path):
@@ -175,6 +200,19 @@ def test_shift_identity_restores_exact_spectrum():
         assert np.max(np.abs(residual)) < 1e-7
 
 
+def test_raw_tensor_is_checked_and_k_symmetrized():
+    g, _ = make_instance(3, seed=17)
+    ob = make_one_body(g, seed=17)
+    asymmetric = g.g.copy()
+    asymmetric[0, 1, 2, 2] += 0.1  # breaks the p <-> q symmetry the pair form assumes
+    with pytest.raises(ValidationError, match="symmetry"):
+        hf.build_from_integrals(ob.k, asymmetric)
+    # an asymmetric k is read as (k + k^T)/2, as the symmetrized H reads it
+    skew = np.triu(np.ones((3, 3)), 1)
+    lopsided = hf.build_from_integrals(ob.k + skew - skew.T, g.g, sector=3).matrix
+    assert np.max(np.abs(lopsided - hf.build_from_integrals(ob.k, g, sector=3).matrix)) < 1e-12
+
+
 def test_size_caps_refuse_early():
     with pytest.raises(ValidationError):
         hf.build_from_integrals(np.zeros((7, 7)), zeros_tensor(7), sector="all")
@@ -240,16 +278,20 @@ def squared_direction_reference(fact, one_body, sector):
     n_j the one-body operator of U diag(v_j) U^T and x = a1′ + N(a2′ + sum α).
     """
     n = fact.n_orbitals
-    states, table = _operator_basis(n, sector)
-    d = len(states)
-    identity = np.eye(d)
+    states = [s for s in range(1 << 2 * n) if sector == "all" or s.bit_count() == sector]
+    ladders = ladder_operators(n, states)
+
+    def operator(coeff):  # sum_pq coeff_pq E_pq, from the per-state ladder products
+        return np.einsum("pq,pqij->ij", coeff, ladders)
+
+    identity = np.eye(len(states))
     x = fact.a1_prime + n * (fact.a2_prime + sum(fact.shifts))
-    ham = _one_body_operator(one_body.f - x * np.eye(n), table, d).toarray()
+    ham = operator(one_body.f - x * np.eye(n))
     ham += one_body.e_nuc * identity
     for u, w, alpha, sign in zip(fact.rotations, fact.factors, fact.shifts, fact.signs):
         for v, sigma in hf.signed_split(w, alpha, sign):
             c = float(np.sum(v))
-            op = c * identity - _one_body_operator(u @ np.diag(v) @ u.T, table, d).toarray()
+            op = c * identity - operator(u @ np.diag(v) @ u.T)
             ham += 0.5 * sigma * (op @ op - c * c * identity)
     return ham
 
