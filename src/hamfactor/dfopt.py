@@ -505,7 +505,7 @@ def optimize_scdf(
             if stalled:
                 break
 
-    w_final = np.stack([truncate_factors(wt, config.delta_df, config.truncation_mode) for wt in w])
+    w_final = truncate_factors(w, config.delta_df, config.truncation_mode)
     keep = [t for t in range(n_df) if np.any(w_final[t]) or abs(alpha[t]) >= config.delta_alpha]
     if not keep:
         raise OptimizationError("every leaf truncated away; lower delta_df", iteration=len(trace))

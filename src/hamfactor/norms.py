@@ -52,37 +52,40 @@ def two_body_lcu_norm(fact: DoubleFactorization | FullRankFactorization) -> floa
     return total
 
 
-def split_directions(fact: DoubleFactorization | FullRankFactorization) -> list[np.ndarray]:
+def split_directions(fact: DoubleFactorization | FullRankFactorization) -> np.ndarray:
     """Every squared-one-body direction vector of the encoding, truncated.
 
-    Rank-1 leaves contribute their split vectors (W, or the P/Q pair when
-    shifted); full-rank cores contribute one √|eigenvalue|-scaled eigenvector
-    per kept eigendirection. The per-direction nonzero counts are exactly the
+    Returns a (K, N) array with one direction per row, in leaf order. Rank-1
+    leaves contribute their split vectors (W, or the P/Q pair when shifted);
+    full-rank cores contribute one √|eigenvalue|-scaled eigenvector per kept
+    eigendirection. The per-direction nonzero counts are exactly the
     rotation-angle records the data lookup stores.
     """
-    delta = fact.thresholds.delta_df
+    delta, n = fact.thresholds.delta_df, fact.n_orbitals
     if isinstance(fact, FullRankFactorization):
         if not fact.cores:
-            return []
+            return np.zeros((0, n))
         cores = np.stack(fact.cores)
         vals, vecs = np.linalg.eigh(0.5 * (cores + cores.transpose(0, 2, 1)))
         # row j of scaled[t] is √|λ_j| times eigenvector j of core t
-        scaled = np.sqrt(np.abs(vals))[:, :, None] * vecs.transpose(0, 2, 1)
-        if delta > 0:  # truncate_factors' "component" rule
-            scaled = np.where(np.abs(scaled) >= delta, scaled, 0.0)
-        return list(scaled[np.any(scaled, axis=2)])
-    directions = []
-    for w, alpha, sign in zip(fact.factors, fact.shifts, fact.signs):
-        for v, _sign in signed_split(w, alpha, sign):
-            v = truncate_factors(v, delta, "component")
-            if np.any(v):
-                directions.append(v)
-    return directions
+        rows = (np.sqrt(np.abs(vals))[:, :, None] * vecs.transpose(0, 2, 1)).reshape(-1, n)
+    elif not fact.factors:
+        return np.zeros((0, n))
+    else:
+        # an unshifted leaf's one direction is W itself
+        rows = np.stack(fact.factors)
+        if fact.n_alpha:
+            rows = np.concatenate([
+                rows[t : t + 1] if alpha == 0.0 else np.reshape([v for v, _ in signed_split(w, alpha, sign)], (-1, n))
+                for t, (w, alpha, sign) in enumerate(zip(fact.factors, fact.shifts, fact.signs))
+            ])
+    rows = truncate_factors(rows, delta, "component")
+    return rows[np.any(rows, axis=1)]
 
 
-def _burg_norm(directions: list[np.ndarray]) -> float:
+def _burg_norm(directions: np.ndarray) -> float:
     """¼ Σ_directions (Σ_k |v_k|)² over ``split_directions`` output."""
-    return sum(0.25 * float(np.sum(np.abs(v))) ** 2 for v in directions)
+    return sum(0.25 * s**2 for s in np.sum(np.abs(directions), axis=1).tolist())
 
 
 def two_body_burg_norm(fact: DoubleFactorization | FullRankFactorization) -> float:

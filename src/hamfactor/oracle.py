@@ -284,13 +284,14 @@ def _dense_level(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 def _block_operator(block: Basis, k: np.ndarray, garr: np.ndarray, e_nuc: float) -> LinearOperator:
     """sigma = e·c + K c + 1/2 T(G(T^T c)) on the block, never forming H.
 
-    Every F_a is symmetric, so T^T (a CSC view of T, no copy) stacks them:
-    T^T c holds every F_a c, and T(Y) = sum_a F_a Y_a.
+    Every F_a is symmetric, so T^T stacks them: T^T c holds every F_a c, and
+    T(Y) = sum_a F_a Y_a. T^T is copied once into row-sorted CSR: its CSC
+    view would scatter into the M·d-long output on every product.
     """
     if not (np.all(np.isfinite(k)) and np.all(np.isfinite(garr)) and math.isfinite(e_nuc)):
         raise NumericalError("Hamiltonian operator has non-finite coefficients")
     kpair, gpair = _pair_integrals(k, garr)
-    side_by_side, stacked = block.pairs, block.pairs.T
+    side_by_side, stacked = block.pairs, block.pairs.T.tocsr()
     d, m = len(block.states), len(kpair)
 
     def matvec(c: np.ndarray) -> np.ndarray:

@@ -143,8 +143,8 @@ def angle_record_count(fact: DoubleFactorization | FullRankFactorization) -> int
     return _record_count(split_directions(fact))
 
 
-def _record_count(directions: list[np.ndarray]) -> int:
-    return int(sum(np.count_nonzero(v) for v in directions))
+def _record_count(directions: np.ndarray) -> int:
+    return int(np.count_nonzero(directions))
 
 
 def estimate(
@@ -156,7 +156,7 @@ def estimate(
     return _estimate(fact, one_body, config, split_directions(fact))
 
 
-def _estimate(fact, one_body, config: CostModelConfig, directions: list[np.ndarray]) -> ResourceEstimate:
+def _estimate(fact, one_body, config: CostModelConfig, directions: np.ndarray) -> ResourceEstimate:
     """``estimate`` from the factorization's ``split_directions``, computed once by the caller."""
     lam = one_body_norm(one_body, fact.a1_prime) + _burg_norm(directions)
     n_records = _record_count(directions)

@@ -7,6 +7,16 @@ a1 * N_e + a2 * N_e², while it can substantially reduce the block-encoding
 a1′ = median(f°); the two-body shift removes a2′ δ_pq δ_rs from the tensor
 (globally, before factorizing) or α^t 1⊗1 from each rank-1 core (per leaf,
 after factorizing), with a2 = (a2′ + Σ_t α^t) / 2.
+
+The global a2′ comes from a scan that factorizes g − a2′ δ_pq δ_rs at each
+candidate (``global_two_body_shift``). In the packed pair space every
+candidate is gp − a2′ d dᵀ, a rank-1 change of g's matrix form gp, so it
+maps into range(gp) + span(d): about 2N dimensions on molecular integrals,
+against N(N+1)/2 for gp. gp is eigendecomposed once per scan, and each
+candidate solves its matrix projected on that space; the eigenvalues of gp
+left out are far below the clamp that would zero them anyway, so the
+projection gives the whole eigensolve's leaves. Each candidate is then
+scored by exactly one ``norms.two_body_burg_norm`` call on its record.
 """
 
 from __future__ import annotations
@@ -16,14 +26,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import InvalidShiftSplit, ValidationError
+from .errors import InvalidShiftSplit, NumericalError, ValidationError
 from .factorization import DoubleFactorization
-from .tensors import TwoElectronTensor, _freeze, _packing
-from .xdf import _signed_leaves, second_factorization, truncate_factors
+from .tensors import TwoElectronTensor, _checked_eigh, _freeze, _packing
+from .xdf import EIG_CLAMP_TOL, _check_n_df, _leading_pairs, _signed_leaves, second_factorization, truncate_factors
 
 SPLIT_TOL = 1e-12
 SHIFT_SCAN_POINTS = 17
 SHIFT_POLISH_TOL = 1e-6
+# eigenvalues of g's pair-space matrix at or below this are left out of the
+# shift scan's basis; far below EIG_CLAMP_TOL, which zeroes them anyway
+_PROJECTION_FLOOR = 1e-2 * EIG_CLAMP_TOL
 
 
 @dataclass(frozen=True)
@@ -146,6 +159,23 @@ def shifted_tensor(g: TwoElectronTensor, a2_prime: float) -> TwoElectronTensor:
     return TwoElectronTensor(g.g - a2_prime * np.einsum("pq,rs->pqrs", eye, eye))
 
 
+def _shift_basis(gp: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Orthonormal M x r basis Q of range(gp) + span(d), up to eigenvalues of gp below the floor.
+
+    gp's eigenvectors with |λ| > ``_PROJECTION_FLOOR`` come first; the
+    normalized part of d orthogonal to them follows, unless d already lies
+    in their span.
+    """
+    vals, vecs = _checked_eigh(gp, "two-electron matrix form")
+    q = vecs[:, np.abs(vals) > _PROJECTION_FLOOR]
+    rest = d - q @ (q.T @ d)
+    rest -= q @ (q.T @ rest)  # a second pass makes it orthogonal to working precision
+    norm = float(np.linalg.norm(rest))
+    if norm > _PROJECTION_FLOOR * float(np.linalg.norm(d)):
+        q = np.column_stack([q, rest / norm])
+    return q
+
+
 def global_two_body_shift(
     g: TwoElectronTensor,
     n_df: int,
@@ -158,18 +188,54 @@ def global_two_body_shift(
     tensor's (pp|rr) diagonal (plus the unshifted point, the diagonal's median
     and mean) brackets the optimum; golden-section search then polishes it to
     ``SHIFT_POLISH_TOL``. The returned norm never exceeds the a2′ = 0 value
-    because 0 is always a scan candidate. g is packed once; each candidate
-    eigendecomposes the packed gp − a2′ d dᵀ, where d is 1 on the diagonal
-    pairs (p, p): the packed δ_pq δ_rs. No candidate builds an N⁴ tensor.
+    because 0 is always a scan candidate.
+
+    Every candidate eigendecomposes gp − a2′ d dᵀ, with gp g's packed M x M
+    matrix form (M = N(N+1)/2) and d the packed δ_pq δ_rs (1 on the pairs
+    (p, p)). gp is eigendecomposed once; ``_shift_basis`` keeps its
+    eigenvectors with |λ| > ``_PROJECTION_FLOOR`` and adds d's part
+    orthogonal to them, an M x r basis Q with r about 2N on molecular
+    integrals. Each candidate solves the r x r matrix
+    Qᵀ gp Q − a2′ (Qᵀd)(Qᵀd)ᵀ and lifts its eigenvectors by Q.
+
+    This is the M x M solve up to the eigenvalues left out. Q spans d and the
+    kept eigenvectors, so gp − a2′ d dᵀ differs from its projection on Q by
+    the left-out part of gp, whose norm is at most ``_PROJECTION_FLOOR``.
+    Every eigenvalue moves by at most that, and every eigenpair outside Q has
+    |λ| at most that, far below ``EIG_CLAMP_TOL``: the M x M solve clamps
+    those into zero leaves too. The leaf count, ranks and signs are those of
+    the M x M solve; U and W agree to its roundoff. One ``shifted_xdf``
+    serves the scan and the returned record. A gp whose Frobenius norm
+    overflows, or a basis that gp does not map into itself to
+    ``EIG_CLAMP_TOL`` on gp's scale, raises NumericalError.
+
+    Each objective evaluation is exactly one ``norms.two_body_burg_norm``
+    call on that evaluation's ``DoubleFactorization``, made from here, so a
+    trace counts the scan's evaluations as that function's calls under this
+    one.
     """
     from .norms import two_body_burg_norm
 
     n = g.n_orbitals
+    _check_n_df(n, n_df)
     i, j, _ = _packing(n)
-    gp, dd = g.as_packed_matrix(), np.outer(i == j, i == j)  # dd: packed δ_pq δ_rs
+    gp, d = g.as_packed_matrix(), (i == j).astype(float)  # d: packed δ_pq δ_rs
+    scale = float(np.linalg.norm(gp))
+    if not np.isfinite(scale):
+        raise NumericalError("two-electron matrix form overflows when squared; the shift scan needs its norm")
+    basis = _shift_basis(gp, d)
+    image = gp @ basis
+    core, dq = basis.T @ image, basis.T @ d
+    # gp maps range(basis) into itself up to the floor and roundoff
+    residual = float(np.linalg.norm(image - basis @ core))
+    if not residual <= EIG_CLAMP_TOL * max(scale, 1.0):
+        raise NumericalError(f"shift-scan projection of the two-electron matrix form is inexact: residual {residual:.3e}")
+    core = 0.5 * (core + core.T)
 
     def shifted_xdf(a2p: float) -> DoubleFactorization:
-        leaves, signs = _signed_leaves(gp - a2p * dd, n, n_df)
+        vals, y = _checked_eigh(core - a2p * np.outer(dq, dq), "two-electron matrix form")
+        # past the r projected pairs come only zero leaves, which second_factorization drops
+        leaves, signs = _signed_leaves(*_leading_pairs(vals, basis @ y, n, min(n_df, len(vals))), n)
         return replace(second_factorization(leaves, delta_df, mode, signs=signs), a2_prime=float(a2p))
 
     def objective(a2p: float) -> float:

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ SYMMETRY_TOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """A read-only float64 C-contiguous array of ``a``; ``a`` itself when it already is one."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable:
+        return a
     out = np.ascontiguousarray(np.asarray(a, dtype=float))
     out.flags.writeable = False
     return out
@@ -48,14 +52,19 @@ def _checked_eigh(a: np.ndarray, what: str, lowest: int | None = None) -> tuple[
     return vals, vecs
 
 
+@functools.lru_cache(maxsize=8)
 def _packing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Isometric packing of an n x n symmetric matrix M.
 
     Returns the upper-triangle indices (i ≤ j) and the weights w (1 on, √2
     off the diagonal) for which the vector w·M[i, j] has M's Frobenius norm.
+    The arrays are cached per n and read-only.
     """
     i, j = np.triu_indices(n)
-    return i, j, np.where(i == j, 1.0, np.sqrt(2.0))
+    out = i, j, np.where(i == j, 1.0, np.sqrt(2.0))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def check_two_electron_symmetry(g: np.ndarray, tol: float = SYMMETRY_TOL) -> float:

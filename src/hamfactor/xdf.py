@@ -31,7 +31,7 @@ def _order_by_magnitude(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray,
     """
     order = np.argsort(-np.abs(vals), axis=-1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    vecs = vecs[:, order] if order.ndim == 1 else np.take_along_axis(vecs, order[..., None, :], axis=-1)
     pivot = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
     vecs = np.where(np.take_along_axis(vecs, pivot, axis=-2) < 0, -vecs, vecs)
     mags = np.abs(vals)
@@ -59,15 +59,26 @@ def _eigendecompose_matrix_form(gm: np.ndarray, n: int, n_df: int) -> tuple[np.n
     """Leading n_df eigenpairs of g's N^2 x N^2 matrix form.
 
     ``gm`` is that form or its packed pair-space matrix (``as_packed_matrix``).
-    Packed eigenvectors are unpacked to N^2 (divided by the packing weight and
-    mirrored to (q, p)) before ordering, so signs and ties follow the full
-    form's conventions. Past the N(N+1)/2 pair-space eigenpairs, the full
-    form's antisymmetric null space enters as exact zeros.
     """
+    return _leading_pairs(*_checked_eigh(gm, "two-electron matrix form"), n, n_df)
+
+
+def _check_n_df(n: int, n_df: int) -> None:
     if not 1 <= n_df <= n * n:
         raise ValidationError(f"n_df must be in [1, N^2={n * n}], got {n_df}")
-    vals, vecs = _checked_eigh(gm, "two-electron matrix form")
-    if len(vals) < n * n:
+
+
+def _leading_pairs(vals: np.ndarray, vecs: np.ndarray, n: int, n_df: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n_df leading eigenpairs of g's matrix form from its eigenvalues and eigenvector columns.
+
+    Packed eigenvectors (N(N+1)/2 rows) are unpacked to N^2 (divided by the
+    packing weight and mirrored to (q, p)) before ordering, so signs and ties
+    follow the full form's conventions. The pairs may be fewer than the
+    form's dimension (every missing eigenvalue zero): past them, up to n_df,
+    zero pairs enter, as the full form's antisymmetric null space does.
+    """
+    _check_n_df(n, n_df)
+    if vecs.shape[0] < n * n:
         i, j, w = _packing(n)
         full = np.zeros((n, n, len(vals)))
         full[i, j] = full[j, i] = vecs / w[:, None]
@@ -75,7 +86,7 @@ def _eigendecompose_matrix_form(gm: np.ndarray, n: int, n_df: int) -> tuple[np.n
     vals, vecs = _order_by_magnitude(vals, vecs)
     pad = n_df - len(vals)
     if pad > 0:
-        vals, vecs = np.pad(vals, (0, pad)), np.pad(vecs, ((0, 0), (0, pad)))
+        vals, vecs = np.concatenate([vals, np.zeros(pad)]), np.hstack([vecs, np.zeros((len(vecs), pad))])
     return vals[:n_df], vecs[:, :n_df]
 
 
@@ -92,18 +103,29 @@ def first_factorization(g: TwoElectronTensor, n_df: int) -> list[np.ndarray]:
     The eigendecomposition runs on the packed pair-space matrix
     (``TwoElectronTensor.as_packed_matrix``, N(N+1)/2 square) instead of the
     N^2 x N^2 matrix form, whose other eigenvalues are zero. Eigenvalues
-    below -1e-10 raise NonPSDTensor; small negatives are clamped to zero with
-    a warning.
+    below -1e-10 raise NonPSDTensor; those of magnitude below 1e-10 are
+    roundoff and give zero leaves, as in ``signed_first_factorization``.
     """
-    return _psd_leaves(g.as_packed_matrix(), g.n_orbitals, n_df)
+    vals, vecs = _eigendecompose_matrix_form(g.as_packed_matrix(), g.n_orbitals, n_df)
+    _check_psd(vals)
+    return _signed_leaves(vals, vecs, g.n_orbitals)[0]  # every sign is +1 past the check
 
 
-def _psd_leaves(gm: np.ndarray, n: int, n_df: int) -> list[np.ndarray]:
-    """``first_factorization`` from the matrix form ``gm``, packed or N^2 x N^2."""
-    vals, vecs = _eigendecompose_matrix_form(gm, n, n_df)
+def _check_psd(vals: np.ndarray) -> None:
     if np.any(vals < -EIG_CLAMP_TOL):
         worst = float(vals.min())
         raise NonPSDTensor(f"two-electron matrix form has eigenvalue {worst:.3e} < -1e-10")
+
+
+def _psd_leaves(gm: np.ndarray, n: int, n_df: int) -> list[np.ndarray]:
+    """PSD leaves of the matrix form ``gm``, packed or N^2 x N^2, keeping roundoff ones.
+
+    Small negative eigenvalues are clamped to zero with a warning. The
+    SCDF/CDF seed uses this, not ``first_factorization``: its optimizers
+    amplify roundoff, so their seed leaves stay as they were.
+    """
+    vals, vecs = _eigendecompose_matrix_form(gm, n, n_df)
+    _check_psd(vals)
     if np.any(vals < 0):
         logger.warning("clamping %d tiny negative eigenvalues to zero", int(np.sum(vals < 0)))
         vals = np.clip(vals, 0.0, None)
@@ -115,23 +137,22 @@ def signed_first_factorization(g: TwoElectronTensor, n_df: int) -> tuple[list[np
 
     Negative eigenvalues are carried as per-leaf signs: g ≈ sum_t s_t L^t ⊗ L^t.
     """
-    return _signed_leaves(g.as_packed_matrix(), g.n_orbitals, n_df)
+    return _signed_leaves(*_eigendecompose_matrix_form(g.as_packed_matrix(), g.n_orbitals, n_df), g.n_orbitals)
 
 
-def _signed_leaves(gp: np.ndarray, n: int, n_df: int) -> tuple[list[np.ndarray], list[int]]:
-    """``signed_first_factorization`` from the packed matrix form ``gp``."""
-    vals, vecs = _eigendecompose_matrix_form(gp, n, n_df)
+def _signed_leaves(vals: np.ndarray, vecs: np.ndarray, n: int) -> tuple[list[np.ndarray], list[int]]:
+    """Signed leaves of ``_leading_pairs`` output; |λ| < 1e-10 gives a zero leaf."""
     signs = [1 if v >= -EIG_CLAMP_TOL else -1 for v in vals]
     vals = np.where(np.abs(vals) < EIG_CLAMP_TOL, 0.0, vals)
     return _leaves(vals, vecs, n), signs
 
 
 def truncate_factors(w: np.ndarray, delta_df: float, mode: str = "component") -> np.ndarray:
-    """Zero out small factor components.
+    """Zero out small factor components, along the last axis of ``w``.
 
     ``component`` drops |W_k| < delta_df. ``combined`` drops components with
     (sum_k |W_k|) * |W_j| < delta_df, coupling the cut to the leaf's total
-    weight.
+    weight. A stack of factor vectors is cut row by row.
     """
     w = np.asarray(w, dtype=float)
     if delta_df <= 0:
@@ -139,12 +160,15 @@ def truncate_factors(w: np.ndarray, delta_df: float, mode: str = "component") ->
     if mode == "component":
         keep = np.abs(w) >= delta_df
     elif mode == "combined":
-        keep = np.sum(np.abs(w)) * np.abs(w) >= delta_df
+        keep = np.sum(np.abs(w), axis=-1, keepdims=True) * np.abs(w) >= delta_df
     else:
         raise ValidationError(f"unknown truncation mode {mode!r}")
-    out = w.copy()
-    out[~keep] = 0.0
-    return out
+    return np.where(keep, w, 0.0)
+
+
+# relative slack on the Frobenius bound below, far above its roundoff
+_BOUND_MARGIN = 1e-9
+_LEAF_SHAPE = "leaf matrices must be symmetric and N x N"
 
 
 def second_factorization(
@@ -157,45 +181,47 @@ def second_factorization(
 
     Leaves whose retained rank drops to zero are removed. Eigenvector signs
     and ordering are made deterministic, so identical input yields bit-identical
-    output.
+    output. A leaf skips its eigensolve when its Frobenius norm ||L||_F, which
+    bounds every |W_k| (and sqrt(N) ||L||_F^2 every combined-mode product),
+    shows that truncation would remove all of it.
     """
     if not leaves:
         raise ValidationError("second_factorization needs at least one leaf")
-    shape = np.shape(leaves[0])
-    n = shape[0] if shape else 0
-    if any(np.shape(L) != (n, n) for L in leaves):
-        raise ValidationError("leaf matrices must be symmetric and N x N")
-    stack = np.asarray(leaves, dtype=float)
+    try:
+        stack = np.asarray(leaves, dtype=float)
+    except ValueError as exc:  # leaves of different shapes
+        raise ValidationError(_LEAF_SHAPE) from exc
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValidationError(_LEAF_SHAPE)
+    n = stack.shape[1]
     transposed = stack.transpose(0, 2, 1)
     if np.any(np.max(np.abs(stack - transposed), axis=(1, 2)) > 1e-8):
-        raise ValidationError("leaf matrices must be symmetric and N x N")
-    if signs is None:
-        signs = [1] * len(leaves)
+        raise ValidationError(_LEAF_SHAPE)
+    signs = np.ones(len(stack), dtype=int) if signs is None else np.asarray(signs, dtype=int)
+    symmetric = 0.5 * (stack + transposed)
     # an exactly zero leaf has rank 0 whatever the truncation
-    nonzero = np.any(stack != 0, axis=(1, 2))
-    signs = [s for s, keep in zip(signs, nonzero) if keep]
-    symmetric = 0.5 * (stack + transposed)[nonzero]
-    vals, vecs = _order_by_magnitude(*_checked_eigh(symmetric, "leaf matrices"))
-    rotations, factors, kept_signs, ranks = [], [], [], []
-    for u, lam, s in zip(vecs, vals, signs):
-        w = truncate_factors(lam, delta_df, mode)
-        xi = int(np.count_nonzero(w))
-        if xi == 0:
-            continue
-        rotations.append(u)
-        factors.append(w)
-        kept_signs.append(int(s))
-        ranks.append(xi)
-    if not rotations:
+    live = np.any(stack != 0, axis=(1, 2))
+    if delta_df > 0:
+        bound = np.sqrt(np.sum(symmetric * symmetric, axis=(1, 2)))
+        if mode == "combined":
+            bound = np.sqrt(n) * bound * bound
+        elif mode != "component":
+            raise ValidationError(f"unknown truncation mode {mode!r}")
+        live &= bound * (1.0 + _BOUND_MARGIN) >= delta_df
+    vals, vecs = _order_by_magnitude(*_checked_eigh(symmetric[live], "leaf matrices"))
+    factors = truncate_factors(vals, delta_df, mode)
+    ranks = np.count_nonzero(factors, axis=-1)
+    kept = ranks > 0
+    if not kept.any():
         raise ValidationError("all leaves were truncated away; lower delta_df")
     return DoubleFactorization(
         n_orbitals=n,
         method_tag="XDF",
-        rotations=tuple(rotations),
-        factors=tuple(factors),
-        shifts=tuple(0.0 for _ in rotations),
-        signs=tuple(kept_signs),
-        leaf_ranks=tuple(ranks),
+        rotations=tuple(vecs[kept]),
+        factors=tuple(factors[kept]),
+        shifts=(0.0,) * int(kept.sum()),
+        signs=tuple(signs[live][kept].tolist()),
+        leaf_ranks=tuple(ranks[kept].tolist()),
         thresholds=Thresholds(delta_df=delta_df),
     )
 

@@ -99,6 +99,40 @@ def test_split_directions_rank1_counts(small_instance):
     assert len(directions) == fact.n_leaves
 
 
+def per_leaf_directions(fact):
+    """Rank-1 split_directions one leaf and one signed_split vector at a time (the reference)."""
+    out = []
+    for w, alpha, sign in zip(fact.factors, fact.shifts, fact.signs):
+        for v, _sign in hf.signed_split(w, alpha, sign):
+            v = hf.truncate_factors(v, fact.thresholds.delta_df, "component")
+            if np.any(v):
+                out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("delta_df", [0.0, 0.05])
+def test_split_directions_mixed_shifts_match_per_leaf_reference(delta_df):
+    n = 6
+    rng = np.random.default_rng(14)
+    rotations = [np.linalg.qr(a)[0] for a in rng.standard_normal((7, n, n))]
+    factors = list(rng.standard_normal((7, n)) * np.logspace(-3, 0, n))
+    factors[5] = np.zeros(n)  # an unshifted zero leaf gives no direction
+    shifts = (0.0, 0.4, 0.0, -0.25, 0.0, 0.3, 0.0)
+    signs = (1, -1, -1, 1, 1, -1, 1)
+    fact = DoubleFactorization(
+        n_orbitals=n, method_tag="SCDF", rotations=tuple(rotations), factors=tuple(factors),
+        shifts=shifts, signs=signs, leaf_ranks=(n,) * 7, thresholds=Thresholds(delta_df=delta_df),
+    )
+    directions = hf.split_directions(fact)
+    reference = per_leaf_directions(fact)
+    assert isinstance(directions, np.ndarray) and directions.shape == (len(reference), n)
+    assert directions.dtype == np.float64
+    for v, ref in zip(directions, reference):
+        assert v.tobytes() == ref.tobytes()
+    # the norm keeps the per-direction summation order, bit for bit
+    assert hf.two_body_burg_norm(fact) == sum(0.25 * float(np.sum(np.abs(v))) ** 2 for v in reference)
+
+
 def per_core_directions(fact):
     """Full-rank split_directions one core and one eigenpair at a time (the reference)."""
     out = []
@@ -115,7 +149,7 @@ def test_split_directions_full_rank(small_instance):
     g, _ = small_instance
     fact, _ = hf.optimize_cdf(g, 4, hf.OptimizerConfig(rho=0.0, max_outer_iters=4, delta_df=0.05))
     directions = hf.split_directions(fact)
-    assert directions, "full-rank cores must yield eigendirections"
+    assert len(directions), "full-rank cores must yield eigendirections"
     reference = per_core_directions(fact)
     assert len(directions) == len(reference) < 4 * fact.n_leaves  # the cut drops some
     for v, ref in zip(directions, reference):

@@ -389,6 +389,21 @@ def test_matrix_free_level_matches_dense(monkeypatch):
             v0 = dense[:, 0]  # warm-start the encoded solve, as verify --fci does
 
 
+def test_matrix_free_sigma_is_bit_identical_to_the_csc_stacking():
+    """sigma through the row-sorted CSR copy of T^T equals sigma through T's CSC view, bit for bit."""
+    g, h, e_nuc, _ = hf.parse_fcidump(data_path("chain_n08.fcidump"))
+    ob = hf.derive_one_body(h, g, e_nuc)
+    block = spin_block(8, 8)
+    d = len(block.states)
+    kpair, gpair = oracle._pair_integrals(ob.k, g.g)
+    op = oracle._block_operator(block, ob.k, g.g, ob.e_nuc)
+    rng = np.random.default_rng(8)
+    for c in (rng.standard_normal(d), np.eye(d)[0], np.ones(d)):
+        excited = (block.pairs.T @ c).reshape(len(kpair), d)
+        reference = ob.e_nuc * c + kpair @ excited + 0.5 * (block.pairs @ (gpair @ excited).ravel())
+        assert op.matvec(c).tobytes() == reference.tobytes()
+
+
 def test_spin_block_refuses_before_allocating():
     with pytest.raises(ValidationError, match="213444 states"):
         spin_block(11, 11)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import hamfactor as hf
 from hamfactor.errors import NonPSDTensor, ValidationError
-from hamfactor.xdf import EIG_CLAMP_TOL, _eigendecompose_matrix_form, _leaves, _order_by_magnitude
+from hamfactor.xdf import EIG_CLAMP_TOL, _eigendecompose_matrix_form, _leaves, _order_by_magnitude, _psd_leaves
 
 from conftest import data_path, make_instance
 
@@ -138,7 +138,31 @@ def test_batched_second_factorization_matches_per_leaf_reference(small_instance)
     ]
     tiny = 1e-6 * random_leaves[0]  # truncates to rank 0 once delta_df > 0
     zero = np.zeros((n, n))
+    # leaves whose Frobenius bound on the truncation test (||L||_F, or sqrt(N) ||L||_F^2
+    # combined) sits just below or just above delta_df: below, the leaf is dropped
+    # before its eigensolve; above, the eigensolve and the cut decide, as per leaf
+    v = rng.standard_normal(n)
+    rank_one = np.outer(v, v) / np.dot(v, v)  # ||rank_one||_F = 1, eigenvalue 1
+    spread = random_leaves[1] / np.linalg.norm(random_leaves[1])
+    component_edge = [
+        f * unit for f in (1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6) for unit in (rank_one, spread)
+    ]
+    combined_edge = [
+        np.sqrt(f / np.sqrt(n)) * unit for f in (1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6) for unit in (rank_one, spread)
+    ]
+    # at N = 1 both bounds are tight: the leaf [[c]] has W = (c,)
+    fractions = (1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6)
+    tight_component = [np.array([[s * 0.25 * f]]) for f in fractions for s in (1, -1)]
+    tight_combined = [np.array([[s * np.sqrt(0.25 * f)]]) for f in fractions for s in (1, -1)]
     cases = [
+        (tight_component, 0.25, "component", None),
+        (tight_combined, 0.25, "combined", [1, -1] * 4),
+        # ||L||_F^2 = 2 < delta_df <= (sum_k |W_k|) |W_1| = 3: only the sqrt(N) factor keeps it
+        ([np.diag([1.0, 0.5, 0.5, 0.5, 0.5]), 0.1 * np.eye(n)], 2.5, "combined", [-1, 1]),
+        (component_edge + random_leaves, 1.0, "component", None),
+        (component_edge + [np.eye(n)], 0.999999, "component", [1, -1] * 4 + [1]),
+        (combined_edge + random_leaves, 1.0, "combined", None),
+        ([random_leaves[2]] + combined_edge + [np.eye(n)], 1.0, "combined", [-1] + [1, -1] * 4 + [1]),
         (random_leaves, 0.0, "component", None),
         (random_leaves + tied_leaves, 0.0, "component", [1, -1, 1, 1, -1, 1, -1, 1, 1, -1]),
         # exactly zero leaves are dropped before the eigh; the signs stay aligned
@@ -150,6 +174,8 @@ def test_batched_second_factorization_matches_per_leaf_reference(small_instance)
     for leaves, delta_df, mode, signs in cases:
         fact = hf.second_factorization(leaves, delta_df, mode, signs=signs)
         reference = reference_second_factorization(leaves, delta_df, mode, signs)
+        if len(leaves[0]) == 1:
+            assert len(reference) == 4  # the leaves above the cut
         assert fact.n_leaves == len(reference)
         for u, w, s, xi, (u_ref, w_ref, s_ref, xi_ref) in zip(
             fact.rotations, fact.factors, fact.signs, fact.leaf_ranks, reference
@@ -213,12 +239,35 @@ def test_packed_matrix_form_matches_full_form(case, signed, delta_df):
     # leaves beyond roundoff are the same; with delta_df = 0 the PSD path also
     # keeps leaves of roundoff eigenvalues, which differ between the two forms
     lead = int(np.sum(np.abs(vals) > EIG_CLAMP_TOL))
+    # both paths zero |λ| < 1e-10; with delta_df = 0 the clamped full-form
+    # reference alone keeps leaves of roundoff eigenvalues
+    assert fact.n_leaves == lead
     if delta_df or signed:
-        assert fact.n_leaves == ref.n_leaves == lead
-    for record in (fact, ref):
-        assert record.n_leaves >= lead
-        assert all(np.max(np.abs(w)) < 1e-6 for w in record.factors[lead:])
+        assert ref.n_leaves == lead
+    assert ref.n_leaves >= lead
+    assert all(np.max(np.abs(w)) < 1e-6 for w in ref.factors[lead:])
     assert fact.leaf_ranks[:lead] == ref.leaf_ranks[:lead]
     assert fact.signs[:lead] == ref.signs[:lead]
     assert hf.two_body_burg_norm(fact) == pytest.approx(hf.two_body_burg_norm(ref), rel=1e-12)
     assert hf.frobenius_error(hf.reconstruct_tensor(fact), hf.reconstruct_tensor(ref)) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("name", ["chain_n06", "chain_n07", "chain_n10"])
+def test_psd_leaves_are_the_eigenvalues_above_the_clamp(name):
+    """At delta_df = 0 the PSD path keeps one leaf per eigenvalue above 1e-10, whatever the roundoff."""
+    g = _fixture(name)
+    n = g.n_orbitals
+    gp = g.as_packed_matrix()
+    above = int(np.sum(np.abs(np.linalg.eigvalsh(gp)) > EIG_CLAMP_TOL))
+    assert above < 4 * n
+    fact = hf.explicit_factorization(g, 4 * n, 0.0)
+    assert fact.n_leaves == above
+    # at the default delta_df the roundoff leaves were truncated anyway: the
+    # record equals the one from the leaves that keep them, bit for bit
+    for mode in ("component", "combined"):
+        kept = hf.second_factorization(_psd_leaves(gp, n, 4 * n), 1e-4, mode)
+        fact = hf.explicit_factorization(g, 4 * n, 1e-4, mode)
+        assert fact.n_leaves == kept.n_leaves
+        assert fact.signs == kept.signs and fact.leaf_ranks == kept.leaf_ranks
+        for a, b in zip(fact.rotations + fact.factors, kept.rotations + kept.factors):
+            assert same_bits(a, b)
