@@ -31,7 +31,7 @@ def _order_by_magnitude(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray,
     """
     order = np.argsort(-np.abs(vals), axis=-1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = vecs[:, order] if order.ndim == 1 else np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
     pivot = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
     vecs = np.where(np.take_along_axis(vecs, pivot, axis=-2) < 0, -vecs, vecs)
     mags = np.abs(vals)
@@ -166,8 +166,6 @@ def truncate_factors(w: np.ndarray, delta_df: float, mode: str = "component") ->
     return np.where(keep, w, 0.0)
 
 
-# relative slack on the Frobenius bound below, far above its roundoff
-_BOUND_MARGIN = 1e-9
 _LEAF_SHAPE = "leaf matrices must be symmetric and N x N"
 
 
@@ -181,9 +179,7 @@ def second_factorization(
 
     Leaves whose retained rank drops to zero are removed. Eigenvector signs
     and ordering are made deterministic, so identical input yields bit-identical
-    output. A leaf skips its eigensolve when its Frobenius norm ||L||_F, which
-    bounds every |W_k| (and sqrt(N) ||L||_F^2 every combined-mode product),
-    shows that truncation would remove all of it.
+    output. Exactly zero leaves skip the eigensolve.
     """
     if not leaves:
         raise ValidationError("second_factorization needs at least one leaf")
@@ -201,13 +197,6 @@ def second_factorization(
     symmetric = 0.5 * (stack + transposed)
     # an exactly zero leaf has rank 0 whatever the truncation
     live = np.any(stack != 0, axis=(1, 2))
-    if delta_df > 0:
-        bound = np.sqrt(np.sum(symmetric * symmetric, axis=(1, 2)))
-        if mode == "combined":
-            bound = np.sqrt(n) * bound * bound
-        elif mode != "component":
-            raise ValidationError(f"unknown truncation mode {mode!r}")
-        live &= bound * (1.0 + _BOUND_MARGIN) >= delta_df
     vals, vecs = _order_by_magnitude(*_checked_eigh(symmetric[live], "leaf matrices"))
     factors = truncate_factors(vals, delta_df, mode)
     ranks = np.count_nonzero(factors, axis=-1)

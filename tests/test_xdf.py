@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hamfactor as hf
-from hamfactor.errors import NonPSDTensor, ValidationError
+from hamfactor.errors import NonPSDTensor, NumericalError, ValidationError
 from hamfactor.xdf import EIG_CLAMP_TOL, _eigendecompose_matrix_form, _leaves, _order_by_magnitude, _psd_leaves
 
 from conftest import data_path, make_instance
@@ -138,9 +138,8 @@ def test_batched_second_factorization_matches_per_leaf_reference(small_instance)
     ]
     tiny = 1e-6 * random_leaves[0]  # truncates to rank 0 once delta_df > 0
     zero = np.zeros((n, n))
-    # leaves whose Frobenius bound on the truncation test (||L||_F, or sqrt(N) ||L||_F^2
-    # combined) sits just below or just above delta_df: below, the leaf is dropped
-    # before its eigensolve; above, the eigensolve and the cut decide, as per leaf
+    # leaves whose Frobenius norm ||L||_F (or sqrt(N) ||L||_F^2, combined), which
+    # bounds every value the truncation tests, sits just below or just above delta_df
     v = rng.standard_normal(n)
     rank_one = np.outer(v, v) / np.dot(v, v)  # ||rank_one||_F = 1, eigenvalue 1
     spread = random_leaves[1] / np.linalg.norm(random_leaves[1])
@@ -157,7 +156,7 @@ def test_batched_second_factorization_matches_per_leaf_reference(small_instance)
     cases = [
         (tight_component, 0.25, "component", None),
         (tight_combined, 0.25, "combined", [1, -1] * 4),
-        # ||L||_F^2 = 2 < delta_df <= (sum_k |W_k|) |W_1| = 3: only the sqrt(N) factor keeps it
+        # ||L||_F^2 = 2 < delta_df <= (sum_k |W_k|) |W_1| = 3: kept, although ||L||_F^2 < delta_df
         ([np.diag([1.0, 0.5, 0.5, 0.5, 0.5]), 0.1 * np.eye(n)], 2.5, "combined", [-1, 1]),
         (component_edge + random_leaves, 1.0, "component", None),
         (component_edge + [np.eye(n)], 0.999999, "component", [1, -1] * 4 + [1]),
@@ -188,6 +187,12 @@ def test_batched_second_factorization_matches_per_leaf_reference(small_instance)
     for bad in ([np.eye(3), np.eye(2)], [np.eye(3), np.triu(np.ones((3, 3)))]):
         with pytest.raises(ValidationError, match="leaf matrices must be symmetric and N x N"):
             hf.second_factorization(bad)
+    # a non-finite leaf reaches the eigensolve whatever the cut, however small its neighbours
+    for bad_entry in (np.nan, np.inf):
+        broken = np.full((n, n), bad_entry)
+        for delta_df, mode in ((0.0, "component"), (1e-4, "component"), (0.5, "combined")):
+            with pytest.raises(NumericalError, match="leaf matrices has non-finite entries"):
+                hf.second_factorization([tiny, broken, np.eye(n)], delta_df, mode)
 
 
 def full_form_first_factorization(g, n_df, signed):
@@ -236,8 +241,6 @@ def test_packed_matrix_form_matches_full_form(case, signed, delta_df):
     else:
         fact = hf.explicit_factorization(g, n_df, delta_df)
     ref = hf.second_factorization(ref_leaves, delta_df, signs=ref_signs)
-    # leaves beyond roundoff are the same; with delta_df = 0 the PSD path also
-    # keeps leaves of roundoff eigenvalues, which differ between the two forms
     lead = int(np.sum(np.abs(vals) > EIG_CLAMP_TOL))
     # both paths zero |λ| < 1e-10; with delta_df = 0 the clamped full-form
     # reference alone keeps leaves of roundoff eigenvalues
