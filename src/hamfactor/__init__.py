@@ -7,6 +7,18 @@ qubit estimates. `hamfactor.cli` exposes the same pipeline as a command
 line tool.
 """
 
+import os
+
+# The package's dense matrices are small (tens to a few hundred rows), where
+# BLAS worker threads add CPU time without cutting wall time, and their
+# spin-waiting between calls makes run times swing on a loaded machine. BLAS
+# therefore runs on one thread unless the caller set a thread count. The
+# setting only takes effect when hamfactor is imported before numpy, as the
+# `hamfactor` command does.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
 from .errors import (
     FcidumpParseError,
     HamfactorError,

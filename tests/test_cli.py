@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -673,3 +676,12 @@ def test_fuzzed_inputs_exit_cleanly(xdf_record, data):
         json.loads(out, parse_constant=_reject_constant)
     else:
         assert_one_stage_label(code, err)
+
+
+@pytest.mark.parametrize("preset, expected", [({}, "1"), ({"OMP_NUM_THREADS": "2"}, "None")])
+def test_blas_runs_on_one_thread_unless_the_caller_chose(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in hf._BLAS_THREAD_VARS} | preset
+    env["PYTHONPATH"] = str(Path(hf.__file__).parents[1])
+    probe = "import os, hamfactor, numpy; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == expected
