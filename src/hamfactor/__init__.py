@@ -78,10 +78,8 @@ from .dfopt import (
     solve_v_step,
 )
 from .norms import (
-    NormReport,
     lambda_burg,
     lambda_lcu,
-    norm_report,
     one_body_norm,
     split_directions,
     two_body_burg_norm,
@@ -115,7 +113,6 @@ __all__ = [
     "HamfactorError",
     "InvalidShiftSplit",
     "NonPSDTensor",
-    "NormReport",
     "NumericalError",
     "OneBodyTensors",
     "OptimizationError",
@@ -150,7 +147,6 @@ __all__ = [
     "lambda_burg",
     "lambda_lcu",
     "load_factorization",
-    "norm_report",
     "one_body_norm",
     "one_body_shift",
     "optimal_k",

@@ -34,7 +34,7 @@ from .factorization import (
     save_factorization,
 )
 from .fcidump import parse_fcidump, write_fcidump
-from .norms import lambda_burg, lambda_lcu, norm_report, one_body_norm
+from .norms import lambda_burg, lambda_lcu, one_body_norm
 from .oracle import block_ground_level, encoded_integrals, spin_block
 from .resources import CostModelConfig, estimate, kr_tradeoff_sweep
 from .shift import correction_energy, global_two_body_shift, one_body_shift, shifted_tensor, ShiftCorrection
@@ -98,9 +98,13 @@ def _load_problem(path: str):
     return g, one_body, metadata
 
 
-def _optimizer_config(args, method: str) -> OptimizerConfig:
-    """The optimizer flags; --rho defaults to 0 for cdf and to 1e-5 for scdf and rcdf."""
-    return OptimizerConfig(
+def _run_method(g, one_body, method: str, args):
+    """Shared factorize driver; returns (fact, trace or None).
+
+    Every method validates the optimizer flags; xdf and xdf-shift read delta_df
+    and the truncation mode from them.
+    """
+    config = OptimizerConfig(  # --rho defaults to 0 for cdf and to 1e-5 for the other methods
         rho=args.rho if args.rho is not None else (0.0 if method == "cdf" else 1e-5),
         gamma=args.gamma,
         max_outer_iters=args.max_outer,
@@ -110,10 +114,6 @@ def _optimizer_config(args, method: str) -> OptimizerConfig:
         delta_alpha=args.delta_alpha,
         truncation_mode=args.truncation_mode,
     )
-
-
-def _run_method(g, one_body, method: str, args):
-    """Shared factorize driver; returns (fact, trace or None)."""
     n = g.n_orbitals
     n_df = _parse_ndf(args.ndf, n)
     trace = None
@@ -121,17 +121,17 @@ def _run_method(g, one_body, method: str, args):
         print(f"note: --ndf clamped to N^2 = {n * n} for {method}", file=sys.stderr)
         n_df = n * n
     if method == "xdf":
-        fact = explicit_factorization(g, n_df, args.delta_df, args.truncation_mode)
+        fact = explicit_factorization(g, n_df, config.delta_df, config.truncation_mode)
     elif method == "xdf-shift":
         a1_prime, _ = one_body_shift(one_body.f_eigs)
-        _, fact = global_two_body_shift(g, n_df, args.delta_df, args.truncation_mode)
+        _, fact = global_two_body_shift(g, n_df, config.delta_df, config.truncation_mode)
         fact = fact.with_one_body_shift(a1_prime)
     elif method == "scdf":
-        fact, trace = optimize_scdf(g, n_df, _optimizer_config(args, method))
+        fact, trace = optimize_scdf(g, n_df, config)
         a1_prime, _ = one_body_shift(one_body.f_eigs)
         fact = fact.with_one_body_shift(a1_prime)
     elif method in ("cdf", "rcdf"):
-        fact, trace = optimize_cdf(g, n_df, _optimizer_config(args, method))
+        fact, trace = optimize_cdf(g, n_df, config)
     else:
         raise ValidationError(f"unknown method {method!r}")
     return fact, trace
@@ -144,35 +144,33 @@ def _core_rank(v: np.ndarray, delta: float) -> int:
 
 
 def _summarize(fact, g, one_body) -> dict:
+    """The factorize summary of either record kind.
+
+    Rank-1 records add a1′, a2′ and the α-ablation λ_burg (every per-leaf
+    shift α^t zeroed), which shows what those shifts buy.
+    """
     error = frobenius_error(g, reconstruct_tensor(fact))
-    if isinstance(fact, FullRankFactorization):
-        ranks = [_core_rank(v, fact.thresholds.delta_df) for v in fact.cores]
-        return {
-            "method": fact.method_tag,
-            "n_orbitals": fact.n_orbitals,
-            "n_leaves": fact.n_leaves,
-            "xi_mean": float(np.mean(ranks)) if ranks else 0.0,
-            "n_alpha": 0,
-            "lambda_lcu": lambda_lcu(fact, one_body),
-            "lambda_burg": lambda_burg(fact, one_body),
-            "one_body_norm": one_body_norm(one_body, fact.a1_prime),
-            "frobenius_error": error,
-        }
-    report = norm_report(fact, one_body)
-    return {
+    rank1 = not isinstance(fact, FullRankFactorization)
+    ranks = fact.leaf_ranks if rank1 else [_core_rank(v, fact.thresholds.delta_df) for v in fact.cores]
+    summary = {
         "method": fact.method_tag,
         "n_orbitals": fact.n_orbitals,
         "n_leaves": fact.n_leaves,
-        "xi_mean": report.xi_mean,
-        "n_alpha": report.n_alpha,
-        "a1_prime": fact.a1_prime,
-        "a2_prime": fact.a2_prime,
-        "lambda_lcu": report.lambda_lcu,
-        "lambda_burg": report.lambda_burg,
-        "one_body_norm": report.one_body,
-        "ablation_lambda_burg": report.ablation_lambda_burg,
-        "frobenius_error": error,
+        "xi_mean": float(np.mean(ranks)) if ranks else 0.0,
+        "n_alpha": fact.n_alpha if rank1 else 0,
     }
+    if rank1:
+        summary.update(a1_prime=fact.a1_prime, a2_prime=fact.a2_prime)
+    summary.update(
+        lambda_lcu=lambda_lcu(fact, one_body),
+        lambda_burg=lambda_burg(fact, one_body),
+        one_body_norm=one_body_norm(one_body, fact.a1_prime),
+    )
+    if rank1:
+        ablated = replace(fact, shifts=(0.0,) * fact.n_leaves)
+        summary["ablation_lambda_burg"] = lambda_burg(ablated, one_body)
+    summary["frobenius_error"] = error
+    return summary
 
 
 def _resolved_config(args, skip=("func",)) -> dict:
@@ -181,6 +179,11 @@ def _resolved_config(args, skip=("func",)) -> dict:
 
 def cmd_synth(args) -> int:
     with _stage("synth"):
+        for flag, value in (("--coulomb", args.coulomb), ("--e-nuc", args.e_nuc)):
+            if not np.isfinite(value):
+                raise ValidationError(f"{flag} must be finite, got {value}")
+        if args.nelec is not None and not args.nelec >= 0:
+            raise ValidationError(f"--nelec must be >= 0, got {args.nelec}")
         spec = SyntheticSpec(
             n_orbitals=args.orbitals,
             n_components=args.components,
@@ -366,6 +369,8 @@ def _fit_loglog(sizes, values) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    with _stage("resources"):
+        cost_config = CostModelConfig(epsilon=args.eps)
     points = []
     for path in args.inputs:
         with _stage("read-input"):
@@ -374,7 +379,7 @@ def cmd_sweep(args) -> int:
             with _stage("factorize"):
                 fact, _ = _run_method(g, one_body, method, args)
             with _stage("resources"):
-                est = estimate(fact, one_body, CostModelConfig(epsilon=args.eps))
+                est = estimate(fact, one_body, cost_config)
             points.append(
                 {
                     "input": path,

@@ -85,8 +85,14 @@ class OptimizerConfig:
     truncation_mode: str = "component"
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValidationError("rho must be >= 0")
+        # written so that NaN fails every check
+        for name in ("rho", "delta_df", "delta_alpha"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("max_outer_iters", "rng_seed"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.init_mode not in ("from_xdf", "random"):
             raise ValidationError(f"unknown init_mode {self.init_mode!r}")
         if self.gamma not in (1, 2):

@@ -12,13 +12,11 @@ Two conventions are implemented:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .factorization import DoubleFactorization, FullRankFactorization
 from .shift import signed_split
-from .tensors import OneBodyTensors
+from .tensors import OneBodyTensors, _checked_eigh
 from .xdf import truncate_factors
 
 
@@ -66,7 +64,7 @@ def split_directions(fact: DoubleFactorization | FullRankFactorization) -> np.nd
         if not fact.cores:
             return np.zeros((0, n))
         cores = np.stack(fact.cores)
-        vals, vecs = np.linalg.eigh(0.5 * (cores + cores.transpose(0, 2, 1)))
+        vals, vecs = _checked_eigh(0.5 * (cores + cores.transpose(0, 2, 1)), "full-rank cores")
         # row j of scaled[t] is √|λ_j| times eigenvector j of core t
         rows = (np.sqrt(np.abs(vals))[:, :, None] * vecs.transpose(0, 2, 1)).reshape(-1, n)
     elif not fact.factors:
@@ -99,39 +97,3 @@ def lambda_lcu(fact: DoubleFactorization | FullRankFactorization, one_body) -> f
 
 def lambda_burg(fact: DoubleFactorization | FullRankFactorization, one_body) -> float:
     return one_body_norm(one_body, fact.a1_prime) + two_body_burg_norm(fact)
-
-
-@dataclass(frozen=True)
-class NormReport:
-    lambda_lcu: float
-    lambda_burg: float
-    one_body: float
-    two_body_lcu: float
-    two_body_burg: float
-    n_alpha: int
-    xi_per_leaf: tuple[int, ...]
-    xi_mean: float
-    ablation_lambda_burg: float
-
-
-def norm_report(fact: DoubleFactorization, one_body) -> NormReport:
-    """Both norms plus breakdowns, Ξ statistics, and the α-ablation norm.
-
-    The ablation zeroes every per-leaf shift α^t (keeping the one-body shift),
-    quantifying how much of the norm reduction the shifts buy.
-    """
-    ob = one_body_norm(one_body, fact.a1_prime)
-    tb_lcu = two_body_lcu_norm(fact)
-    tb_burg = two_body_burg_norm(fact)
-    ablated = replace(fact, shifts=tuple(0.0 for _ in fact.shifts))
-    return NormReport(
-        lambda_lcu=ob + tb_lcu,
-        lambda_burg=ob + tb_burg,
-        one_body=ob,
-        two_body_lcu=tb_lcu,
-        two_body_burg=tb_burg,
-        n_alpha=fact.n_alpha,
-        xi_per_leaf=fact.leaf_ranks,
-        xi_mean=float(np.mean(fact.leaf_ranks)) if fact.leaf_ranks else 0.0,
-        ablation_lambda_burg=ob + two_body_burg_norm(ablated),
-    )

@@ -103,8 +103,8 @@ class CostModelConfig:
     k_r: int | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValidationError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:  # NaN fails too
+            raise ValidationError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.bits_state_prep < 1 or self.bits_rotations < 1:
             raise ValidationError("bit widths must be >= 1")
         if self.k_r is not None and not _is_power_of_two(self.k_r):
@@ -133,20 +133,6 @@ class ResourceEstimate:
         }
 
 
-def angle_record_count(fact: DoubleFactorization | FullRankFactorization) -> int:
-    """Total angle records: nonzero entries across all encoded directions.
-
-    For rank-1 leaves this is Xi^(t) plus Theta^(t) on shifted leaves; for
-    full-rank cores every kept eigendirection contributes its support, which
-    is what makes the unconstrained variant's lookup blow up.
-    """
-    return _record_count(split_directions(fact))
-
-
-def _record_count(directions: np.ndarray) -> int:
-    return int(np.count_nonzero(directions))
-
-
 def estimate(
     fact: DoubleFactorization | FullRankFactorization,
     one_body,
@@ -159,7 +145,8 @@ def estimate(
 def _estimate(fact, one_body, config: CostModelConfig, directions: np.ndarray) -> ResourceEstimate:
     """``estimate`` from the factorization's ``split_directions``, computed once by the caller."""
     lam = one_body_norm(one_body, fact.a1_prime) + _burg_norm(directions)
-    n_records = _record_count(directions)
+    # one record per nonzero direction entry: Ξ^t, plus Θ^t on a shifted leaf
+    n_records = int(np.count_nonzero(directions))
     if n_records == 0:
         raise ValidationError("factorization has no surviving directions to encode")
     if not lam > 0:
@@ -231,7 +218,7 @@ def kr_tradeoff_sweep(
     The optimum row minimizes Toffolis; k_r = 1 minimizes lookup ancillae.
     """
     directions = split_directions(fact)
-    n_records = _record_count(directions)
+    n_records = int(np.count_nonzero(directions))
     if n_records == 0:
         raise ValidationError("factorization has no surviving directions to encode")
     k_auto = optimal_k(n_records, fact.n_orbitals * config.bits_rotations)

@@ -88,7 +88,7 @@ def _two_eigenpairs(w: np.ndarray, alpha: float) -> list[tuple[float, np.ndarray
     ones = np.ones(n)
     m = np.outer(w, w) - alpha * np.outer(ones, ones)
     scale = max(np.max(np.abs(m)), 1.0)
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = _checked_eigh(m, "shifted leaf core")
     pairs = []
     for i in range(n):
         if abs(vals[i]) > SPLIT_TOL * scale:

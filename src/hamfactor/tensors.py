@@ -181,8 +181,8 @@ class SyntheticSpec:
     coulomb_weight: float = 0.0
 
     def __post_init__(self):
-        if self.n_orbitals < 1 or self.n_components < 0:
-            raise ValidationError("n_orbitals must be >= 1 and n_components >= 0")
+        if self.n_orbitals < 1 or self.n_components < 0 or not self.rng_seed >= 0:
+            raise ValidationError("n_orbitals must be >= 1, n_components >= 0 and rng_seed >= 0")
 
 
 def tensor_from_components(components: list[np.ndarray]) -> TwoElectronTensor:

@@ -120,14 +120,14 @@ def _check_psd(vals: np.ndarray) -> None:
 def _psd_leaves(gm: np.ndarray, n: int, n_df: int) -> list[np.ndarray]:
     """PSD leaves of the matrix form ``gm``, packed or N^2 x N^2, keeping roundoff ones.
 
-    Small negative eigenvalues are clamped to zero with a warning. The
+    Small negative eigenvalues are clamped to zero, logged at DEBUG. The
     SCDF/CDF seed uses this, not ``first_factorization``: its optimizers
     amplify roundoff, so their seed leaves stay as they were.
     """
     vals, vecs = _eigendecompose_matrix_form(gm, n, n_df)
     _check_psd(vals)
     if np.any(vals < 0):
-        logger.warning("clamping %d tiny negative eigenvalues to zero", int(np.sum(vals < 0)))
+        logger.debug("clamping %d tiny negative eigenvalues to zero", int(np.sum(vals < 0)))
         vals = np.clip(vals, 0.0, None)
     return _leaves(vals, vecs, n)
 

@@ -486,6 +486,26 @@ def _huge_alpha(data):
     data["leaves"][0]["alpha"] = 1e308
 
 
+def _huge_shifted_w(data):
+    data["method"] = "SCDF"
+    data["leaves"][0].update(W=[1e200] * 4, alpha=1.0)
+
+
+def _huge_core(data):
+    data.update(kind="full_rank", method="CDF")
+    for leaf in data["leaves"]:
+        leaf["V"] = np.diag(leaf["W"]).tolist()
+    data["leaves"][0]["V"] = [[1e308] * 4] * 4
+
+
+# the record field or CLI flag an invalid numeric flag's message names
+_FLAG_NAMES = {
+    "--eps": "epsilon", "--rho": "rho", "--delta-df": "delta_df", "--delta-alpha": "delta_alpha",
+    "--max-outer": "max_outer_iters", "--seed": "rng_seed",
+    "--e-nuc": "--e-nuc", "--coulomb": "--coulomb", "--nelec": "--nelec",
+}
+
+
 def _write_integrals(dump, path, values, norb=None):
     """Copy of ``dump`` with new values for the records keyed "i j k l", optionally a new NORB."""
     lines = dump.read_text().splitlines()
@@ -527,6 +547,26 @@ def _write_integrals(dump, path, values, norb=None):
         (["verify", "{record}", "{huge_g}"], 3, "verify"),
         # N = 11 at half filling: a 213444-state spin block, refused before it is built
         (["verify", "{n11_record}", "{n11_dump}", "--fci"], 2, "fci"),
+        # non-finite or negative numeric flags, refused before any work or file write
+        (["resources", "{record}", "--eps", "nan"], 2, "resources"),
+        (["resources", "{record}", "--eps", "inf"], 2, "resources"),
+        (["sweep", "{dump}", "--method", "xdf", "--eps", "nan"], 2, "resources"),
+        (["factorize", "{dump}", "--method", "xdf", "--delta-alpha", "nan"], 2, "factorize"),
+        (["factorize", "{dump}", "--method", "xdf-shift", "--delta-alpha", "inf"], 2, "factorize"),
+        (["factorize", "{dump}", "--method", "scdf", "--rho", "nan"], 2, "factorize"),
+        (["factorize", "{dump}", "--method", "scdf", "--rho", "inf"], 2, "factorize"),
+        (["factorize", "{dump}", "--method", "cdf", "--rho", "-1"], 2, "factorize"),
+        (["factorize", "{dump}", "--method", "xdf", "--delta-df", "nan"], 2, "factorize"),
+        (["factorize", "{dump}", "--method", "xdf", "--delta-df", "-1"], 2, "factorize"),
+        (["factorize", "{dump}", "--method", "scdf", "--max-outer", "-1"], 2, "factorize"),
+        (["factorize", "{dump}", "--method", "scdf", "--init", "random", "--seed", "-1"], 2, "factorize"),
+        (["synth", "{tmp}/seed.fcidump", "--orbitals", "3", "--components", "3", "--seed", "-1"], 2, "synth"),
+        (["synth", "{tmp}/e_nuc.fcidump", "--orbitals", "3", "--components", "3", "--e-nuc", "nan"], 2, "synth"),
+        (["synth", "{tmp}/coulomb.fcidump", "--orbitals", "3", "--components", "3", "--coulomb", "inf"], 2, "synth"),
+        (["synth", "{tmp}/nelec.fcidump", "--orbitals", "3", "--components", "3", "--nelec", "-1"], 2, "synth"),
+        # overflowing leaves fail their eigensolve instead of losing every direction
+        (["resources", "{huge_shifted_w}"], 3, "resources"),
+        (["resources", "{huge_core}"], 3, "resources"),
     ],
     ids=[
         "resources_output", "verify_output", "sweep_output", "synth_output", "non_utf8_fcidump",
@@ -535,6 +575,9 @@ def _write_integrals(dump, path, values, norb=None):
         "f_overflow", "eigs_overflow", "first_eigh_fails", "second_eigh_fails", "one_body_eigh_fails",
         "scdf_generator_eigh_fails", "cdf_generator_eigh_fails", "frobenius_overflow_verify",
         "block_over_cap",
+        "eps_nan", "eps_inf", "sweep_eps_nan", "delta_alpha_nan", "delta_alpha_inf", "rho_nan", "rho_inf",
+        "rho_negative", "delta_df_nan", "delta_df_negative", "max_outer_negative", "seed_negative", "synth_seed_negative", "synth_e_nuc_nan",
+        "synth_coulomb_inf", "synth_nelec_negative", "huge_shifted_w_resources", "huge_core_resources",
     ],
 )
 def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_record, argv, code, stage):
@@ -543,11 +586,13 @@ def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_re
     paths["n11_dump"], paths["n11_record"] = n11_record
     paths.update({name: tmp_path / f"{name}.input" for name in (
         "binary", "huge_w", "huge_alpha", "f_overflow", "eigs_overflow",
-        "first_eigh_fails", "second_eigh_fails", "one_body_eigh_fails", "huge_g",
+        "first_eigh_fails", "second_eigh_fails", "one_body_eigh_fails", "huge_g", "huge_shifted_w", "huge_core",
     )})
     paths["binary"].write_bytes(b"\xff\xfe garbage\n")
     _write_record(record, paths["huge_w"], _huge_w)
     _write_record(record, paths["huge_alpha"], _huge_alpha)
+    _write_record(record, paths["huge_shifted_w"], _huge_shifted_w)
+    _write_record(record, paths["huge_core"], _huge_core)
     _write_integrals(dump, paths["f_overflow"], {"4 4 3 1": "1e308"})
     _write_integrals(dump, paths["eigs_overflow"], {"2 1 2 1": "1e308"})
     _write_integrals(dump, paths["first_eigh_fails"], {"2 1 1 1": "1e200"}, norb=5)
@@ -560,6 +605,11 @@ def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_re
     assert assert_one_stage_label(code, err) == stage
     if "{n11_record}" in argv:
         assert "213444 states" in err
+    for flag, value in zip(argv, argv[1:]):
+        if value in ("nan", "inf", "-1"):
+            assert _FLAG_NAMES[flag] in err.splitlines()[-1]
+    if argv[0] == "synth":
+        assert not os.path.exists(argv[1].format(**paths))
 
 
 # Boundary fuzzing: mutate up to three FCIDUMP entries or one record field and

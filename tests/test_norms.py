@@ -1,9 +1,12 @@
 """Block-encoding norms, hand values first."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import hamfactor as hf
+from hamfactor.cli import _summarize
 from hamfactor.factorization import DoubleFactorization, Thresholds
 
 from conftest import make_instance, make_one_body
@@ -80,15 +83,34 @@ def test_zeroing_factor_entries_never_raises_burg(small_instance):
     assert hf.two_body_burg_norm(truncated) <= hf.two_body_burg_norm(fact) + 1e-12
 
 
-def test_norm_report_fields(small_instance):
+_RANK1_KEYS = [
+    "method", "n_orbitals", "n_leaves", "xi_mean", "n_alpha", "a1_prime", "a2_prime",
+    "lambda_lcu", "lambda_burg", "one_body_norm", "ablation_lambda_burg", "frobenius_error",
+]
+_FULL_RANK_KEYS = [k for k in _RANK1_KEYS if k not in ("a1_prime", "a2_prime", "ablation_lambda_burg")]
+
+
+def test_factorize_summary_fields(small_instance):
     g, _ = small_instance
     ob = make_one_body(g, seed=2)
-    _, fact = hf.global_two_body_shift(g, 16)
-    fact = fact.with_one_body_shift(hf.one_body_shift(ob.f_eigs)[0])
-    report = hf.norm_report(fact, ob)
-    assert report.lambda_burg == pytest.approx(report.one_body + report.two_body_burg)
-    # ablation removes the shifts, so it can only be at least as large
-    assert report.ablation_lambda_burg >= report.lambda_burg - 1e-9
+    a1_prime = hf.one_body_shift(ob.f_eigs)[0]
+    shifted = hf.global_two_body_shift(g, 16)[1].with_one_body_shift(a1_prime)
+    config = hf.OptimizerConfig(rho=1e-3, max_outer_iters=2)
+    scdf = hf.optimize_scdf(g, 8, config)[0].with_one_body_shift(a1_prime)
+    cdf = hf.optimize_cdf(g, 8, replace(config, rho=0.0))[0]
+    assert shifted.a2_prime != 0.0 and scdf.n_alpha > 0
+    for fact in (shifted, scdf, cdf):
+        summary = _summarize(fact, g, ob)
+        rank1 = isinstance(fact, DoubleFactorization)
+        assert list(summary) == (_RANK1_KEYS if rank1 else _FULL_RANK_KEYS)
+        one_body = summary["one_body_norm"]
+        assert one_body == hf.one_body_norm(ob, fact.a1_prime)
+        assert summary["lambda_lcu"] == one_body + hf.two_body_lcu_norm(fact)
+        assert summary["lambda_burg"] == one_body + hf.two_body_burg_norm(fact)
+        if rank1:
+            ablated = replace(fact, shifts=(0.0,) * fact.n_leaves)
+            assert summary["ablation_lambda_burg"] == hf.lambda_burg(ablated, ob)
+            assert summary["n_alpha"] == fact.n_alpha
 
 
 def test_split_directions_rank1_counts(small_instance):

@@ -11,7 +11,7 @@ import hamfactor as hf
 from hamfactor import resources
 from hamfactor.errors import ValidationError
 from hamfactor.factorization import DoubleFactorization, Thresholds
-from hamfactor.resources import angle_record_count, qrom_erasure_cost
+from hamfactor.resources import qrom_erasure_cost
 
 from conftest import make_instance, make_one_body
 
@@ -115,7 +115,7 @@ def test_estimate_composition(small_instance):
         + b["misc_toffolis"]
     )
     assert step_parts == est.toffoli_per_step
-    assert b["angle_records"] == angle_record_count(fact)
+    assert b["angle_records"] == np.count_nonzero(hf.split_directions(fact))
     assert est.logical_qubits >= b["system_qubits"] + b["phase_register_qubits"]
     d = est.to_dict()
     assert d["toffoli_total"] == est.toffoli_total
@@ -124,7 +124,7 @@ def test_estimate_composition(small_instance):
 def test_angle_records_count_shifted_pairs(small_instance):
     g, _ = small_instance
     plain = hf.explicit_factorization(g, 8)
-    assert angle_record_count(plain) == sum(plain.leaf_ranks)
+    assert np.count_nonzero(hf.split_directions(plain)) == sum(plain.leaf_ranks)
     # a per-leaf alpha splits the core into two directions and doubles records
     dense = DoubleFactorization(
         n_orbitals=2,
@@ -136,7 +136,7 @@ def test_angle_records_count_shifted_pairs(small_instance):
         leaf_ranks=(2,),
         thresholds=Thresholds(),
     )
-    assert angle_record_count(dense) == 4
+    assert np.count_nonzero(hf.split_directions(dense)) == 4
 
 
 def test_estimate_rejects_empty_encoding():
