@@ -14,6 +14,7 @@ identical flags and seeds give identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from contextlib import contextmanager
@@ -66,10 +67,13 @@ def _stage(name: str):
 
     OSError becomes a ValidationError (exit 2); OverflowError, which float ``**``
     and ``math.ceil(inf)`` raise, a NumericalError (exit 3). Anything else is a bug.
+    numpy's floating-point warnings are silenced inside the block: the code's
+    own finiteness checks turn an overflow into the one labelled error line.
     """
     try:
         try:
-            yield
+            with np.errstate(all="ignore"):
+                yield
         except OSError as exc:
             raise ValidationError(str(exc)) from exc
         except OverflowError as exc:
@@ -173,8 +177,8 @@ def _summarize(fact, g, one_body) -> dict:
     return summary
 
 
-def _resolved_config(args, skip=("func",)) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)}
+def _resolved_config(args) -> dict:
+    return dict(sorted(vars(args).items()))
 
 
 def cmd_synth(args) -> int:
@@ -419,7 +423,13 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    ``args.command`` names the subcommand; ``main`` looks up its ``cmd_*``
+    function at call time, so a wrapper put on that name takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="hamfactor",
         description="Double-factorized electronic Hamiltonians: compression, "
@@ -435,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coulomb", type=float, default=1.0)
     p.add_argument("--nelec", type=int, default=None)
     p.add_argument("--e-nuc", type=float, default=0.0, dest="e_nuc")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("factorize", help="factorize an FCIDUMP")
     p.add_argument("input")
@@ -445,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_optimizer_flags(p)
     p.add_argument("--output", default=None)
     p.add_argument("--trace", default=None, help="write per-iteration trace JSONL here")
-    p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("resources", help="Toffoli/qubit estimate for a factorization")
     p.add_argument("fact")
@@ -455,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=int, default=16)
     p.add_argument("--kr", default="auto")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_resources)
 
     p = sub.add_parser("verify", help="reconstruction and FCI checks")
     p.add_argument("fact")
@@ -463,25 +470,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fci", action="store_true")
     p.add_argument("--nelec", type=int, default=None)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="scaling slopes across several inputs")
     p.add_argument("inputs", nargs="+")
     p.add_argument(
-        "--method", nargs="+", default=["xdf", "scdf"],
+        "--method", nargs="+", default=("xdf", "scdf"),  # a tuple: the cached parser shares it
         choices=("xdf", "xdf-shift", "cdf", "rcdf", "scdf"),
     )
     p.add_argument("--eps", type=float, default=1.6e-3)
     _add_optimizer_flags(p)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .tensors import TwoElectronTensor, _freeze
+from .tensors import TwoElectronTensor
 
 METHOD_TAGS = ("XDF", "CDF", "RCDF", "SCDF")
 
@@ -28,6 +28,23 @@ METHOD_TAGS = ("XDF", "CDF", "RCDF", "SCDF")
 def _leaf_matrices(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Stacked leaf matrices U^t diag(W^t) U^t^T from stacked U and W."""
     return (u * w[:, None, :]) @ u.transpose(0, 2, 1)
+
+
+def _frozen_leaves(arrays, shape: tuple[int, ...], message: str) -> tuple[np.ndarray, ...]:
+    """Per-leaf arrays (a sequence or a stack) as read-only float64 rows of one C-contiguous copy.
+
+    A leaf whose shape is not ``shape`` raises ValidationError(message).
+    """
+    if len(arrays) == 0:
+        return ()
+    try:
+        stack = np.array(arrays, dtype=float, order="C")
+    except ValueError as exc:  # leaves of different shapes
+        raise ValidationError(message) from exc
+    if stack.shape[1:] != shape:
+        raise ValidationError(message)
+    stack.flags.writeable = False
+    return tuple(stack)
 
 
 @dataclass(frozen=True)
@@ -56,20 +73,20 @@ class DoubleFactorization:
         if self.method_tag not in METHOD_TAGS:
             raise ValidationError(f"method_tag must be one of {METHOD_TAGS}, got {self.method_tag!r}")
         n = self.n_orbitals
-        rot = tuple(_freeze(u) for u in self.rotations)
-        fac = tuple(_freeze(w) for w in self.factors)
-        if not (len(rot) == len(fac) == len(self.shifts) == len(self.signs) == len(self.leaf_ranks)):
+        if not (
+            len(self.rotations) == len(self.factors) == len(self.shifts) == len(self.signs) == len(self.leaf_ranks)
+        ):
             raise ValidationError("per-leaf field lengths disagree")
-        for u, w in zip(rot, fac):
-            if u.shape != (n, n) or w.shape != (n,):
-                raise ValidationError("each leaf needs an N x N rotation and length-N factors")
+        shape = "each leaf needs an N x N rotation and length-N factors"
+        rot = _frozen_leaves(self.rotations, (n, n), shape)
+        fac = _frozen_leaves(self.factors, (n,), shape)
         if any(s not in (1, -1) for s in self.signs):
             raise ValidationError("each leaf sign must be +1 or -1")
         object.__setattr__(self, "rotations", rot)
         object.__setattr__(self, "factors", fac)
-        object.__setattr__(self, "shifts", tuple(float(a) for a in self.shifts))
-        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
-        object.__setattr__(self, "leaf_ranks", tuple(int(x) for x in self.leaf_ranks))
+        object.__setattr__(self, "shifts", tuple(map(float, self.shifts)))
+        object.__setattr__(self, "signs", tuple(map(int, self.signs)))
+        object.__setattr__(self, "leaf_ranks", tuple(map(int, self.leaf_ranks)))
 
     @property
     def n_leaves(self) -> int:
@@ -128,14 +145,11 @@ class FullRankFactorization:
 
     def __post_init__(self):
         n = self.n_orbitals
-        rot = tuple(_freeze(u) for u in self.rotations)
-        cores = tuple(_freeze(v) for v in self.cores)
-        if len(rot) != len(cores):
+        if len(self.rotations) != len(self.cores):
             raise ValidationError("per-leaf field lengths disagree")
-        if any(a.shape != (n, n) for a in rot + cores):
-            raise ValidationError("each leaf needs an N x N rotation and an N x N core")
-        object.__setattr__(self, "rotations", rot)
-        object.__setattr__(self, "cores", cores)
+        shape = "each leaf needs an N x N rotation and an N x N core"
+        object.__setattr__(self, "rotations", _frozen_leaves(self.rotations, (n, n), shape))
+        object.__setattr__(self, "cores", _frozen_leaves(self.cores, (n, n), shape))
 
     @property
     def n_leaves(self) -> int:
@@ -249,7 +263,8 @@ def save_factorization(
     config: dict | None = None,
     extras: dict | None = None,
 ) -> None:
-    text = finite_json(factorization_to_dict(fact, config, extras), indent=1)
+    """Write the record as one line of JSON; without indentation ``json`` takes its C encoder."""
+    text = finite_json(factorization_to_dict(fact, config, extras))
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

@@ -20,6 +20,7 @@ symmetry class, the later wins.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import re
 
@@ -29,6 +30,7 @@ from .errors import FcidumpParseError, ValidationError
 from .tensors import TwoElectronTensor
 
 WRITE_ZERO_TOL = 0.0
+_WRITE_BLOCK = 4096  # records formatted at once by write_fcidump
 
 _HEADER_FIELD = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\s*=\s*([^=]*?)(?=(?:,?\s*[A-Za-z][A-Za-z0-9_]*\s*=)|$)")
 
@@ -90,14 +92,24 @@ def _records_by_line(lines: list[str], start: int, norb: int) -> tuple[np.ndarra
     return np.array(values, dtype=float), np.array(indices, dtype=np.int64).reshape(-1, 4)
 
 
-def _records(lines: list[str], start: int, norb: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, 1-based indices R x 4) of the integral records from line ``start`` on.
+# line breaks of str.splitlines other than "\n", which np.loadtxt reads as
+# field separators; reading the file in text mode already turned "\r" into "\n"
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile("\r\n|[\n\r" + _OTHER_BREAKS + "]")
 
-    One vectorized read and check; any line it does not accept sends the
-    whole body to ``_records_by_line``, which names the first bad line or
-    accepts a spelling only Python's number parsers know (such as ``1_0``).
+
+def _records(text: str, offset: int, start: int, norb: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, 1-based indices R x 4) of the integral records: ``text`` from ``offset``, line ``start`` on.
+
+    One vectorized read and check of the body as it stands in ``text``; any
+    line it does not accept sends the whole body to ``_records_by_line``,
+    which names the first bad line or accepts a spelling only Python's number
+    parsers know (such as ``1_0``).
     """
-    body = "\n".join(lines[start:]).replace("D", "E").replace("d", "e")
+    body = text[offset:]
+    if any(c in body for c in _OTHER_BREAKS):
+        body = "\n".join(body.splitlines())
+    body = body.replace("D", "E").replace("d", "e")
     if body.strip():
         try:
             records = np.loadtxt(io.StringIO(body), dtype=_RECORD, comments=None, ndmin=1)
@@ -108,7 +120,37 @@ def _records(lines: list[str], start: int, norb: int) -> tuple[np.ndarray, np.nd
             in_range = np.all((index >= 0) & (index <= norb))
             if np.all(np.isfinite(values)) and in_range and np.all(_supported(index != 0)):
                 return values, index
-    return _records_by_line(lines, start, norb)
+    return _records_by_line(text.splitlines(), start, norb)
+
+
+def _header(text: str) -> tuple[dict, int, int]:
+    """(header fields, line index of the first record line, its offset in ``text``).
+
+    Lines are split as ``str.splitlines`` splits them, up to the line that
+    ends the namelist; the records after it are left to ``_records``.
+    """
+    header_lines = []
+    in_header = False
+    idx = pos = 0
+    while pos < len(text):
+        brk = _LINE_BREAK.search(text, pos)
+        end, after = (brk.start(), brk.end()) if brk else (len(text), len(text))
+        stripped = text[pos:end].strip()
+        pos = after
+        idx += 1
+        if not in_header:
+            if not stripped:
+                continue
+            if not stripped.upper().startswith("&FCI"):
+                raise FcidumpParseError("expected '&FCI' namelist header", idx)
+            in_header = True
+            stripped = stripped[4:]
+        found = re.search(r"(&END|/)", stripped, flags=re.IGNORECASE)
+        if found:
+            header_lines.append(stripped[: found.start()])
+            return _parse_header(" ".join(header_lines)), idx, pos
+        header_lines.append(stripped)
+    raise FcidumpParseError("namelist header never terminated with &END or /", idx)
 
 
 def _last_of_each(key: np.ndarray) -> np.ndarray:
@@ -126,50 +168,32 @@ def parse_fcidump(path: str) -> tuple[TwoElectronTensor, np.ndarray, float, dict
     """
     try:
         with open(path, "r") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
 
-    header_lines = []
-    data_start = None
-    in_header = False
-    for idx, line in enumerate(lines):
-        stripped = line.strip()
-        if not in_header:
-            if not stripped:
-                continue
-            if not stripped.upper().startswith("&FCI"):
-                raise FcidumpParseError("expected '&FCI' namelist header", idx + 1)
-            in_header = True
-            stripped = stripped[4:]
-        end = re.search(r"(&END|/)", stripped, flags=re.IGNORECASE)
-        if end:
-            header_lines.append(stripped[: end.start()])
-            data_start = idx + 1
-            break
-        header_lines.append(stripped)
-    if data_start is None:
-        raise FcidumpParseError("namelist header never terminated with &END or /", len(lines))
-
-    fields = _parse_header(" ".join(header_lines))
+    fields, data_start, offset = _header(text)
     norb = fields.get("NORB")
     if not isinstance(norb, int) or norb < 1:
         raise FcidumpParseError("header is missing a valid NORB", data_start)
 
     g = np.zeros((norb, norb, norb, norb))
     h = np.zeros((norb, norb))
-    values, index = _records(lines, data_start, norb)
+    values, index = _records(text, offset, data_start, norb)
     # a record sets every symmetry image of its index, so a later record of
     # the same class (equal sorted (i, j), (k, l) and pair order) replaces it
     base = norb + 1
-    ij = index[:, :2].max(axis=1) * base + index[:, :2].min(axis=1)
-    kl = index[:, 2:].max(axis=1) * base + index[:, 2:].min(axis=1)
+    i, j, k, l = index.T
+    ij = np.maximum(i, j) * base + np.minimum(i, j)
+    kl = np.maximum(k, l) * base + np.minimum(k, l)
     keep = _last_of_each(np.maximum(ij, kl) * base**2 + np.minimum(ij, kl))
     v, (i, j, k, l) = values[keep], index[keep].T
     two, one = k > 0, (j > 0) & (k == 0)
-    p, q, r, s = (x[two] - 1 for x in (i, j, k, l))
-    for a, b, c, d in ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r)):
-        g[a, b, c, d] = g[c, d, a, b] = v[two]
+    # flat positions (ab, cd) of the 8 images; distinct classes share none
+    pq, qp, rs, sr = ((a[two] - 1) * norb + b[two] - 1 for a, b in ((i, j), (j, i), (k, l), (l, k)))
+    images = [(pq, rs), (qp, rs), (pq, sr), (qp, sr)]
+    flat = np.concatenate([ab * norb**2 + cd for x, y in images for ab, cd in ((x, y), (y, x))])
+    g.reshape(-1)[flat] = np.tile(v[two], 2 * len(images))
     h[i[one] - 1, j[one] - 1] = h[j[one] - 1, i[one] - 1] = v[one]
     orbital = (index[:, 0] > 0) & (index[:, 1] == 0)
     orbital_energies = {int(at): float(x) for at, x in zip(index[orbital, 0], values[orbital])}
@@ -207,25 +231,26 @@ def write_fcidump(
     if h.shape != (n, n):
         raise ValidationError(f"one-body matrix shape {h.shape} does not match N={n}")
 
-    def record(value: float, i: int, j: int, k: int, l: int) -> str:
-        return f"{value: .16e} {i:4d} {j:4d} {k:4d} {l:4d}\n"
-
+    # pairs (i, j), i >= j, in lexicographic order; the canonical unique set
+    # i >= j, k >= l, (i,j) >= (k,l) is every pair of pairs in np.tril_indices order
+    pi, pj = np.tril_indices(n)
+    a, b = np.tril_indices(len(pi))
+    none = np.full(len(pi), -1)
+    value = np.concatenate([g[pi[a], pj[a], pi[b], pj[b]], h[pi, pj], [float(e_nuc)]])
+    index = 1 + np.column_stack([
+        np.concatenate(c) for c in ((pi[a], pi, [-1]), (pj[a], pj, [-1]), (pi[b], none, [-1]), (pj[b], none, [-1]))
+    ])
+    keep = np.abs(value) > WRITE_ZERO_TOL
+    keep[-1] = True  # the nuclear-repulsion record is always written
+    value, index = value[keep], index[keep]
     with open(path, "w") as fh:
         fh.write(f" &FCI NORB={n:4d},NELEC={nelec:3d},MS2={ms2:2d},\n")
         fh.write("  ORBSYM=" + "1," * n + "\n")
         fh.write("  ISYM=1,\n")
         fh.write(" &END\n")
-        # canonical unique set: i >= j, k >= l, (i,j) >= (k,l) as pairs
-        for i in range(n):
-            for j in range(i + 1):
-                for k in range(i + 1):
-                    lmax = j if k == i else k
-                    for l in range(lmax + 1):
-                        v = g[i, j, k, l]
-                        if abs(v) > WRITE_ZERO_TOL:
-                            fh.write(record(v, i + 1, j + 1, k + 1, l + 1))
-        for i in range(n):
-            for j in range(i + 1):
-                if abs(h[i, j]) > WRITE_ZERO_TOL:
-                    fh.write(record(h[i, j], i + 1, j + 1, 0, 0))
-        fh.write(record(float(e_nuc), 0, 0, 0, 0))
+        # one %-format per block of records: "% .16e" and "%4d" spell each
+        # record as f"{v: .16e} {i:4d} ..." does, without a Python step per record
+        for at in range(0, len(value), _WRITE_BLOCK):
+            block = slice(at, at + _WRITE_BLOCK)
+            fields = itertools.chain.from_iterable(zip(value[block].tolist(), *index[block].T.tolist()))
+            fh.write(("% .16e %4d %4d %4d %4d\n" * len(value[block])) % tuple(fields))

@@ -34,6 +34,9 @@ from .xdf import EIG_CLAMP_TOL, _check_n_df, _leading_pairs, _signed_leaves, sec
 SPLIT_TOL = 1e-12
 SHIFT_SCAN_POINTS = 17
 SHIFT_POLISH_TOL = 1e-6
+# scan candidates closer than this, relative to the diagonal's largest
+# magnitude, shift g by the same matrix up to roundoff and count as one
+SHIFT_MERGE_TOL = 1e-12
 # eigenvalues of g's pair-space matrix at or below this are left out of the
 # shift scan's basis; far below EIG_CLAMP_TOL, which zeroes them anyway
 _PROJECTION_FLOOR = 1e-2 * EIG_CLAMP_TOL
@@ -187,8 +190,11 @@ def global_two_body_shift(
     A coarse scan of ``SHIFT_SCAN_POINTS`` points over the range of the
     tensor's (pp|rr) diagonal (plus the unshifted point, the diagonal's median
     and mean) brackets the optimum; golden-section search then polishes it to
-    ``SHIFT_POLISH_TOL``. The returned norm never exceeds the a2′ = 0 value
-    because 0 is always a scan candidate.
+    ``SHIFT_POLISH_TOL``. Candidates within ``SHIFT_MERGE_TOL`` of the
+    diagonal's largest magnitude of each other count once, so a cluster of
+    roundoff-equal shifts (0.0, a (pp|rr) of 1e-160 and a median of 1e-16 on
+    a long chain) cannot collapse the bracket. The returned norm never
+    exceeds the a2′ = 0 value because 0 is always a scan candidate.
 
     Every candidate eigendecomposes gp − a2′ d dᵀ, with gp g's packed M x M
     matrix form (M = N(N+1)/2) and d the packed δ_pq δ_rs (1 on the pairs
@@ -230,13 +236,13 @@ def global_two_body_shift(
     residual = float(np.linalg.norm(image - basis @ core))
     if not residual <= EIG_CLAMP_TOL * max(scale, 1.0):
         raise NumericalError(f"shift-scan projection of the two-electron matrix form is inexact: residual {residual:.3e}")
-    core = 0.5 * (core + core.T)
+    core, ddq = 0.5 * (core + core.T), np.outer(dq, dq)
 
     def shifted_xdf(a2p: float) -> DoubleFactorization:
-        vals, y = _checked_eigh(core - a2p * np.outer(dq, dq), "two-electron matrix form")
+        vals, y = _checked_eigh(core - a2p * ddq, "two-electron matrix form")
         # past the r projected pairs come only zero leaves, which second_factorization drops
         leaves, signs = _signed_leaves(*_leading_pairs(vals, basis @ y, n, min(n_df, len(vals))), n)
-        return replace(second_factorization(leaves, delta_df, mode, signs=signs), a2_prime=float(a2p))
+        return second_factorization(leaves, delta_df, mode, signs=signs, a2_prime=float(a2p))
 
     def objective(a2p: float) -> float:
         return two_body_burg_norm(shifted_xdf(a2p))
@@ -245,9 +251,14 @@ def global_two_body_shift(
     lo, hi = float(diag.min()), float(diag.max())
     if hi - lo < 1e-12:
         lo, hi = lo - 0.5 * max(abs(lo), 1.0), hi + 0.5 * max(abs(hi), 1.0)
-    candidates = sorted(
-        set(np.linspace(lo, hi, SHIFT_SCAN_POINTS).tolist() + [0.0, float(np.median(diag)), float(diag.mean())])
-    )
+    resolution = SHIFT_MERGE_TOL * max(abs(lo), abs(hi))
+    candidates = []
+    for c in sorted(set(np.linspace(lo, hi, SHIFT_SCAN_POINTS).tolist() + [0.0, float(np.median(diag)), float(diag.mean())])):
+        if candidates and c - candidates[-1] <= resolution:
+            if c == 0.0:  # 0.0 stands for its cluster, so the scan keeps the unshifted point
+                candidates[-1] = 0.0
+            continue
+        candidates.append(c)
     values = [objective(c) for c in candidates]
     best = int(np.argmin(values))
     left = candidates[max(best - 1, 0)]

@@ -38,7 +38,7 @@ def _checked_eigh(a: np.ndarray, what: str, lowest: int | None = None) -> tuple[
 
     np.linalg.eigh gives every pair; ``lowest=m`` asks scipy for the m lowest only.
     """
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalError(f"{what} has non-finite entries")
     try:
         if lowest is None:
@@ -47,7 +47,7 @@ def _checked_eigh(a: np.ndarray, what: str, lowest: int | None = None) -> tuple[
             vals, vecs = scipy.linalg.eigh(a, subset_by_index=[0, lowest - 1], check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition of {what} failed: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NumericalError(f"{what} has non-finite eigenvalues; its entries overflow")
     return vals, vecs
 

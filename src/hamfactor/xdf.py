@@ -9,6 +9,7 @@ rank-1 cores V^t = W^t ⊗ W^t.
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -26,32 +27,36 @@ def _order_by_magnitude(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray,
     """Sort descending by |eigenvalue|; exact ties broken lexicographically.
 
     Works on one decomposition or a stack of them (vals (..., n), vecs
-    (..., n, n)). Each eigenvector's first component of largest magnitude is
-    made positive.
+    (..., m, n)). Each eigenvector's first component of largest magnitude is
+    made positive. The eigenvectors are gathered once, in order, as
+    contiguous rows, sign-fixed and tie-sorted in place, and returned as a
+    transposed view of those rows.
     """
-    order = np.argsort(-np.abs(vals), axis=-1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
-    pivot = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
-    vecs = np.where(np.take_along_axis(vecs, pivot, axis=-2) < 0, -vecs, vecs)
-    mags = np.abs(vals)
-    tied = np.any(mags[..., 1:] == mags[..., :-1], axis=-1)
-    for row in map(tuple, np.argwhere(tied)):
-        _break_ties(vals[row], vecs[row], mags[row])
-    return vals, vecs
+    stack = vecs.reshape(-1, *vecs.shape[-2:])
+    batch, flat = np.arange(len(stack))[:, None], vals.reshape(len(stack), -1)
+    order = np.argsort(-np.abs(flat), axis=-1, kind="stable")
+    flat = flat[batch, order]
+    rows = stack.swapaxes(1, 2)[batch, order]
+    pivot = np.abs(rows).argmax(axis=-1)
+    flip = rows[batch, np.arange(rows.shape[1]), pivot] < 0
+    np.negative(rows, out=rows, where=flip[..., None])
+    mags = np.abs(flat)
+    for b in np.flatnonzero((mags[:, 1:] == mags[:, :-1]).any(axis=-1)):
+        _break_ties(flat[b], rows[b], mags[b])
+    return flat.reshape(vals.shape), rows.swapaxes(1, 2).reshape(vecs.shape)
 
 
-def _break_ties(vals: np.ndarray, vecs: np.ndarray, mags: np.ndarray) -> None:
-    """Order each run of equal |eigenvalue| by its eigenvectors, in place."""
+def _break_ties(vals: np.ndarray, rows: np.ndarray, mags: np.ndarray) -> None:
+    """Order each run of equal |eigenvalue| by its eigenvectors (the rows of ``rows``), in place."""
     i = 0
     while i < len(vals):
         j = i + 1
         while j < len(vals) and mags[j] == mags[i]:
             j += 1
         if j - i > 1:
-            sub = sorted(range(i, j), key=lambda c: tuple(vecs[:, c]))
+            sub = sorted(range(i, j), key=lambda c: tuple(rows[c]))
             vals[i:j] = vals[sub]
-            vecs[:, i:j] = vecs[:, sub]
+            rows[i:j] = rows[sub]
         i = j
 
 
@@ -79,10 +84,7 @@ def _leading_pairs(vals: np.ndarray, vecs: np.ndarray, n: int, n_df: int) -> tup
     """
     _check_n_df(n, n_df)
     if vecs.shape[0] < n * n:
-        i, j, w = _packing(n)
-        full = np.zeros((n, n, len(vals)))
-        full[i, j] = full[j, i] = vecs / w[:, None]
-        vecs = full.reshape(n * n, -1)
+        vecs = (vecs / _packing(n)[2][:, None])[_unpacking(n)]
     vals, vecs = _order_by_magnitude(vals, vecs)
     pad = n_df - len(vals)
     if pad > 0:
@@ -90,11 +92,22 @@ def _leading_pairs(vals: np.ndarray, vecs: np.ndarray, n: int, n_df: int) -> tup
     return vals[:n_df], vecs[:, :n_df]
 
 
-def _leaves(vals: np.ndarray, vecs: np.ndarray, n: int) -> list[np.ndarray]:
-    """Symmetric leaves sqrt|λ_t| * mat(v_t), one per column."""
+@functools.lru_cache(maxsize=8)
+def _unpacking(n: int) -> np.ndarray:
+    """For each (p, q) of an N x N matrix in row-major order, its ``_packing`` pair (min, max); read-only."""
+    i, j, _ = _packing(n)
+    at = np.empty((n, n), dtype=np.intp)
+    at[i, j] = at[j, i] = np.arange(len(i))
+    out = at.ravel()
+    out.flags.writeable = False
+    return out
+
+
+def _leaves(vals: np.ndarray, vecs: np.ndarray, n: int) -> np.ndarray:
+    """Stacked symmetric leaves sqrt|λ_t| * mat(v_t), one per column."""
     L = (vecs * np.sqrt(np.abs(vals))).T.reshape(-1, n, n)
     # eigenvectors of a symmetric-image matrix; kill roundoff skew
-    return list(0.5 * (L + L.transpose(0, 2, 1)))
+    return 0.5 * (L + L.transpose(0, 2, 1))
 
 
 def first_factorization(g: TwoElectronTensor, n_df: int) -> list[np.ndarray]:
@@ -108,7 +121,7 @@ def first_factorization(g: TwoElectronTensor, n_df: int) -> list[np.ndarray]:
     """
     vals, vecs = _eigendecompose_matrix_form(g.as_packed_matrix(), g.n_orbitals, n_df)
     _check_psd(vals)
-    return _signed_leaves(vals, vecs, g.n_orbitals)[0]  # every sign is +1 past the check
+    return list(_signed_leaves(vals, vecs, g.n_orbitals)[0])  # every sign is +1 past the check
 
 
 def _check_psd(vals: np.ndarray) -> None:
@@ -117,7 +130,7 @@ def _check_psd(vals: np.ndarray) -> None:
         raise NonPSDTensor(f"two-electron matrix form has eigenvalue {worst:.3e} < -1e-10")
 
 
-def _psd_leaves(gm: np.ndarray, n: int, n_df: int) -> list[np.ndarray]:
+def _psd_leaves(gm: np.ndarray, n: int, n_df: int) -> np.ndarray:
     """PSD leaves of the matrix form ``gm``, packed or N^2 x N^2, keeping roundoff ones.
 
     Small negative eigenvalues are clamped to zero, logged at DEBUG. The
@@ -137,12 +150,13 @@ def signed_first_factorization(g: TwoElectronTensor, n_df: int) -> tuple[list[np
 
     Negative eigenvalues are carried as per-leaf signs: g ≈ sum_t s_t L^t ⊗ L^t.
     """
-    return _signed_leaves(*_eigendecompose_matrix_form(g.as_packed_matrix(), g.n_orbitals, n_df), g.n_orbitals)
+    leaves, signs = _signed_leaves(*_eigendecompose_matrix_form(g.as_packed_matrix(), g.n_orbitals, n_df), g.n_orbitals)
+    return list(leaves), signs.tolist()
 
 
-def _signed_leaves(vals: np.ndarray, vecs: np.ndarray, n: int) -> tuple[list[np.ndarray], list[int]]:
-    """Signed leaves of ``_leading_pairs`` output; |λ| < 1e-10 gives a zero leaf."""
-    signs = [1 if v >= -EIG_CLAMP_TOL else -1 for v in vals]
+def _signed_leaves(vals: np.ndarray, vecs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked signed leaves of ``_leading_pairs`` output and their ±1 signs; |λ| < 1e-10 gives a zero leaf."""
+    signs = np.where(vals >= -EIG_CLAMP_TOL, 1, -1)
     vals = np.where(np.abs(vals) < EIG_CLAMP_TOL, 0.0, vals)
     return _leaves(vals, vecs, n), signs
 
@@ -170,18 +184,21 @@ _LEAF_SHAPE = "leaf matrices must be symmetric and N x N"
 
 
 def second_factorization(
-    leaves: list[np.ndarray],
+    leaves: list[np.ndarray] | np.ndarray,
     delta_df: float = 0.0,
     mode: str = "component",
     signs: list[int] | None = None,
+    a2_prime: float = 0.0,
 ) -> DoubleFactorization:
     """Eigendecompose each leaf matrix into (U^t, W^t) and truncate.
 
-    Leaves whose retained rank drops to zero are removed. Eigenvector signs
-    and ordering are made deterministic, so identical input yields bit-identical
-    output. Exactly zero leaves skip the eigensolve.
+    ``leaves`` is a list or a stack of N x N matrices. Leaves whose retained
+    rank drops to zero are removed. Eigenvector signs and ordering are made
+    deterministic, so identical input yields bit-identical output. Exactly
+    zero leaves skip the eigensolve. ``a2_prime`` is the global shift the
+    leaves were taken after, stored in the record.
     """
-    if not leaves:
+    if len(leaves) == 0:
         raise ValidationError("second_factorization needs at least one leaf")
     try:
         stack = np.asarray(leaves, dtype=float)
@@ -191,12 +208,12 @@ def second_factorization(
         raise ValidationError(_LEAF_SHAPE)
     n = stack.shape[1]
     transposed = stack.transpose(0, 2, 1)
-    if np.any(np.max(np.abs(stack - transposed), axis=(1, 2)) > 1e-8):
+    if np.abs(stack - transposed).max() > 1e-8:
         raise ValidationError(_LEAF_SHAPE)
     signs = np.ones(len(stack), dtype=int) if signs is None else np.asarray(signs, dtype=int)
     symmetric = 0.5 * (stack + transposed)
     # an exactly zero leaf has rank 0 whatever the truncation
-    live = np.any(stack != 0, axis=(1, 2))
+    live = (stack != 0).any(axis=(1, 2))
     vals, vecs = _order_by_magnitude(*_checked_eigh(symmetric[live], "leaf matrices"))
     factors = truncate_factors(vals, delta_df, mode)
     ranks = np.count_nonzero(factors, axis=-1)
@@ -206,11 +223,12 @@ def second_factorization(
     return DoubleFactorization(
         n_orbitals=n,
         method_tag="XDF",
-        rotations=tuple(vecs[kept]),
-        factors=tuple(factors[kept]),
+        rotations=vecs[kept],
+        factors=factors[kept],
         shifts=(0.0,) * int(kept.sum()),
         signs=tuple(signs[live][kept].tolist()),
         leaf_ranks=tuple(ranks[kept].tolist()),
+        a2_prime=a2_prime,
         thresholds=Thresholds(delta_df=delta_df),
     )
 

@@ -31,6 +31,11 @@ def synth_args(path, n=4, seed=3):
     return ("synth", str(path), "--orbitals", str(n), "--components", str(n), "--seed", str(seed))
 
 
+# on a failure case stderr must end with the one labelled error line; a numpy
+# RuntimeWarning escaping main would print library paths ahead of it
+no_runtime_warnings = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 def test_synth_writes_deterministic_fcidump(tmp_path, capsys):
     p1, p2 = tmp_path / "a.fcidump", tmp_path / "b.fcidump"
     code, payload = run(capsys, *synth_args(p1))
@@ -141,6 +146,7 @@ def test_shift_method_reports_nonzero_shift(tmp_path, capsys):
     assert summary["lambda_burg"] <= summary["ablation_lambda_burg"] + 1e-9
 
 
+@no_runtime_warnings
 def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     code = main(["factorize", str(tmp_path / "missing.fcidump"), "--method", "xdf"])
     assert code == 2
@@ -153,6 +159,7 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     assert "--ndf" in capsys.readouterr().err
 
 
+@no_runtime_warnings
 @pytest.mark.parametrize("where", ["one_body_inf", "two_body_nan"])
 def test_exit_code_2_on_non_finite_integrals(tmp_path, capsys, where):
     g, _ = make_instance(3, seed=5)
@@ -213,6 +220,7 @@ def _corrupt(data: dict, case: str) -> dict:
     return data
 
 
+@no_runtime_warnings
 @pytest.mark.parametrize("command", ["resources", "verify"])
 @pytest.mark.parametrize(
     "case",
@@ -227,6 +235,7 @@ def test_malformed_record_exits_2(tmp_path, capsys, xdf_record, case, command):
     assert "read-input" in capsys.readouterr().err
 
 
+@no_runtime_warnings
 @pytest.mark.parametrize(
     "field, value",
     [("sign", 1.5), ("sign", -1.9), ("sign", "1"), ("xi", -2.5), ("xi", True), ("n_orbitals", 4.9)],
@@ -244,6 +253,7 @@ def test_non_integer_record_field_exits_2(tmp_path, capsys, xdf_record, field, v
             assert f"{field} in factorization record must be an integer" in err
 
 
+@no_runtime_warnings
 @pytest.mark.parametrize("case", ["verify", "verify_fci", "resources_fcidump", "short_one_body_eigs"])
 def test_orbital_count_mismatch_exits_2(tmp_path, capsys, xdf_record, case):
     _, record = xdf_record
@@ -267,6 +277,7 @@ def test_orbital_count_mismatch_exits_2(tmp_path, capsys, xdf_record, case):
     assert "read-input" in err and "4 orbitals" in err and shape in err
 
 
+@no_runtime_warnings
 def test_exit_code_3_on_indefinite_tensor(tmp_path, capsys):
     g, _ = make_instance(3, seed=5)
     flipped = hf.TwoElectronTensor(-g.g)
@@ -309,6 +320,7 @@ def test_resources_kr_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+@no_runtime_warnings
 def test_verify_fci_rejects_full_rank(tmp_path, capsys):
     dump = tmp_path / "inst.fcidump"
     assert run(capsys, *synth_args(dump, n=3))[0] == 0
@@ -399,6 +411,7 @@ def test_verify_fci_energy_fidelity_at_n8(tmp_path, capsys):
     assert fci["exact_eigenvector_overlap"] > 0.999
 
 
+@no_runtime_warnings
 @pytest.mark.parametrize(
     "header, flag, expected",
     [
@@ -518,6 +531,7 @@ def _write_integrals(dump, path, values, norb=None):
     path.write_text("\n".join(lines) + "\n")
 
 
+@no_runtime_warnings
 @pytest.mark.parametrize(
     "argv, code, stage",
     [
@@ -684,6 +698,7 @@ def _run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@no_runtime_warnings
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_fuzzed_inputs_exit_cleanly(xdf_record, data):

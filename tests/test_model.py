@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import hamfactor as hf
 from hamfactor.errors import FcidumpParseError, NumericalError, ValidationError
-from hamfactor.fcidump import _parse_header
+from hamfactor.fcidump import WRITE_ZERO_TOL, _parse_header
 
 from conftest import DATA_DIR, make_instance
 
@@ -100,6 +100,47 @@ def test_fcidump_round_trip(tmp_path, small_instance):
     assert e_nuc == pytest.approx(0.625, abs=1e-14)
     assert meta["NORB"] == 4
     assert meta["NELEC"] == 4
+
+
+def reference_write_fcidump(path, g, h, e_nuc, nelec, ms2=0):
+    """The record-by-record FCIDUMP writer: one Python loop over the canonical indices."""
+    n = g.shape[0]
+
+    def record(value, i, j, k, l):
+        return f"{value: .16e} {i:4d} {j:4d} {k:4d} {l:4d}\n"
+
+    with open(path, "w") as fh:
+        fh.write(f" &FCI NORB={n:4d},NELEC={nelec:3d},MS2={ms2:2d},\n")
+        fh.write("  ORBSYM=" + "1," * n + "\n")
+        fh.write("  ISYM=1,\n")
+        fh.write(" &END\n")
+        for i in range(n):
+            for j in range(i + 1):
+                for k in range(i + 1):
+                    for l in range((j if k == i else k) + 1):
+                        if abs(g[i, j, k, l]) > WRITE_ZERO_TOL:
+                            fh.write(record(g[i, j, k, l], i + 1, j + 1, k + 1, l + 1))
+        for i in range(n):
+            for j in range(i + 1):
+                if abs(h[i, j]) > WRITE_ZERO_TOL:
+                    fh.write(record(h[i, j], i + 1, j + 1, 0, 0))
+        fh.write(record(float(e_nuc), 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_write_matches_record_by_record_writer(tmp_path, n):
+    """Zeros and NaN skipped, inf and -0.0 as the loop spells them, e_nuc always written."""
+    g = make_instance(n, n_components=max(n - 1, 1), seed=n)[0].g.copy()
+    g[0, 0, 0, 0] = 0.0
+    h = np.diag(np.linspace(-2.0, -1.0, n))
+    h[n - 1, 0] = h[0, n - 1] = np.inf if n > 1 else 0.0
+    h[n // 2, n // 2] = -0.0
+    for e_nuc in (0.625, np.nan, -0.0):
+        path, ref = tmp_path / "new.fcidump", tmp_path / "ref.fcidump"
+        tensor = hf.TwoElectronTensor(g)
+        hf.write_fcidump(str(path), tensor, h, e_nuc, nelec=n)
+        reference_write_fcidump(str(ref), tensor.g, h, e_nuc, n)
+        assert path.read_bytes() == ref.read_bytes()
 
 
 def test_parse_h2_reference_values(h2_path):
@@ -234,6 +275,43 @@ def test_parse_matches_record_by_record_reader(tmp_path):
         assert_same_parse(path)
     recipe_chain_fcidump(tmp_path / "n20.fcidump", 20)
     assert_same_parse(str(tmp_path / "n20.fcidump"))
+
+
+def test_parse_reads_any_line_ending(tmp_path):
+    """CRLF text, no trailing newline, and the other str.splitlines breaks parse to the same arrays."""
+    fixture = os.path.join(DATA_DIR, "chain_n06.fcidump")
+    g, h, e_nuc, meta = hf.parse_fcidump(fixture)
+    text = open(fixture).read()
+    lines = text.splitlines()
+    variants = {
+        "crlf": text.replace("\n", "\r\n"),
+        "no_trailing_newline": text.rstrip("\n"),
+        "crlf_no_trailing_newline": text.rstrip("\n").replace("\n", "\r\n"),
+        "old_mac": text.replace("\n", "\r"),
+        # np.loadtxt reads these as field separators, str.splitlines as line breaks
+        "other_breaks": "".join(line + "\x0c\x1c\x1d\x1e\x85\u2028\u2029\v"[at % 8] for at, line in enumerate(lines)),
+    }
+    for name, body in variants.items():
+        path = tmp_path / f"{name}.fcidump"
+        path.write_bytes(body.encode())
+        assert_same_parse(str(path))
+        g2, h2, e2, meta2 = hf.parse_fcidump(str(path))
+        assert g2.g.tobytes() == g.g.tobytes() and h2.tobytes() == h.tobytes(), name
+        assert e2 == e_nuc and meta2 == meta, name
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_bad_record_below_a_multi_line_header_names_its_line(tmp_path, newline):
+    header = ["", "   ", " &FCI NORB=2,", "  NELEC=2,MS2=0,", "  ORBSYM=1,1,", "  ISYM=1,", " &END"]
+    records = [" 0.5 1 1 1 1", "", " 0.25 2 2 1 1", " 1.0 2 1 0 0", " 0.125 2 1 2 1", " 0.5 2 1 0 7", " 0.1 0 0 0 0"]
+    path = tmp_path / "bad.fcidump"
+    path.write_bytes(newline.join(header + records).encode())
+    with pytest.raises(FcidumpParseError) as err:
+        hf.parse_fcidump(str(path))
+    with pytest.raises(FcidumpParseError) as ref:
+        reference_parse_fcidump(str(path))
+    assert str(err.value) == str(ref.value)
+    assert err.value.line_no == ref.value.line_no == 13
 
 
 def test_parse_keeps_the_last_record_of_each_symmetry_class(tmp_path):

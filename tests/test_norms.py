@@ -1,5 +1,6 @@
 """Block-encoding norms, hand values first."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import hamfactor as hf
 from hamfactor.cli import _summarize
-from hamfactor.factorization import DoubleFactorization, Thresholds
+from hamfactor.factorization import DoubleFactorization, Thresholds, factorization_to_dict
 
 from conftest import make_instance, make_one_body
 
@@ -191,6 +192,29 @@ def test_norms_survive_serialization_bit_identical(tmp_path, small_instance):
     loaded = hf.load_factorization(path)
     after = (hf.lambda_lcu(loaded, ob), hf.lambda_burg(loaded, ob))
     assert before == after  # exact equality, not approx
+
+
+def test_compact_and_indented_records_load_bit_identical(tmp_path, small_instance):
+    """Records are one line of JSON now; a record written with indent=1 loads to the same bits."""
+    g, _ = small_instance
+    _, shifted = hf.global_two_body_shift(g, 12)
+    shifted = replace(shifted.with_one_body_shift(-0.375), shifts=(0.125,) + shifted.shifts[1:])
+    full_rank, _ = hf.optimize_cdf(g, 4, hf.OptimizerConfig(rho=0.0, max_outer_iters=2))
+    for fact in (shifted, full_rank):
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        hf.save_factorization(str(compact), fact, config={"seed": 0}, extras={"e_nuc": 0.5})
+        record = factorization_to_dict(fact, {"seed": 0}, {"e_nuc": 0.5})
+        indented.write_text(json.dumps(record, indent=1) + "\n")
+        text = compact.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n") and len(text) < len(indented.read_text())
+        assert json.loads(text) == json.loads(indented.read_text())
+        a, b = hf.load_factorization(str(compact)), hf.load_factorization(str(indented))
+        arrays = ("rotations", "factors") if hasattr(fact, "factors") else ("rotations", "cores")
+        for name in arrays:
+            for x, y, z in zip(getattr(a, name), getattr(b, name), getattr(fact, name)):
+                assert x.tobytes() == y.tobytes() == z.tobytes()
+        scalars = ("a1_prime", "a2_prime", "shifts", "signs", "leaf_ranks", "thresholds")
+        assert all(getattr(a, f) == getattr(b, f) == getattr(fact, f) for f in scalars if hasattr(fact, f))
 
 
 def test_one_body_norm_accepts_tensors_object(small_instance):

@@ -1,5 +1,8 @@
 """Particle-number shift machinery."""
 
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +12,7 @@ from hamfactor import norms, shift
 from hamfactor.tensors import _packing
 from hamfactor.xdf import _eigendecompose_matrix_form, _signed_leaves
 
-from conftest import data_path, make_instance
+from conftest import DATA_DIR, data_path, make_instance
 
 
 def test_one_body_shift_is_median():
@@ -225,3 +228,25 @@ def test_one_norm_call_per_objective_evaluation(monkeypatch):
         assert isinstance(normed_fact, hf.DoubleFactorization)
         assert all(a is b for a, b in zip(normed_fact.rotations + normed_fact.factors, record.rotations + record.factors))
         assert normed_fact.signs == record.signs
+
+
+def test_polish_bracket_spans_past_the_roundoff_cluster(monkeypatch):
+    """0.0 and a (pp|rr) of ~1e-39 shift g by the same matrix: they count as one scan candidate.
+
+    On this chain both score best and tie exactly, so bracketing by raw
+    neighbours polished over [0, ~1e-39] and stopped there, while the
+    optimum, near 1.7e-6, lies just past that cluster.
+    """
+    spec = importlib.util.spec_from_file_location("chain_recipe", os.path.join(DATA_DIR, "generate.py"))
+    recipe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recipe)
+    g = recipe.chain_tensor(5, 2, 0.3)
+    assert 0.0 < np.einsum("pprr->pr", g.g).min() < 1e-30
+    bounds = []
+    polish = shift.minimize_scalar
+    monkeypatch.setattr(shift, "minimize_scalar", lambda f, **kw: bounds.append(kw["bounds"]) or polish(f, **kw))
+    _, fact = hf.global_two_body_shift(g, 20, 1e-4)
+    (left, right), = bounds
+    assert left == 0.0 and right - left > shift.SHIFT_POLISH_TOL
+    unshifted = hf.two_body_burg_norm(full_form_shifted_record(g, 0.0, 20, 1e-4, "component"))
+    assert hf.two_body_burg_norm(fact) < unshifted - 1e-9
