@@ -72,7 +72,6 @@ from .dfopt import (
     cost_cdf,
     cost_scdf,
     grad_scdf_w,
-    grad_scdf_x,
     optimize_cdf,
     optimize_scdf,
     solve_v_step,
@@ -140,7 +139,6 @@ __all__ = [
     "frobenius_error",
     "global_two_body_shift",
     "grad_scdf_w",
-    "grad_scdf_x",
     "ground_energy",
     "ground_state",
     "kr_tradeoff_sweep",

@@ -6,7 +6,8 @@ von-Burg norm plateaus:
 1. L-BFGS over all factor vectors W^t of the cost
    ½‖g − Σ_t U^t (W^t ⊗ W^t) U^t^T‖²_F + ρ Σ_{t,k,l} |W^t_k W^t_l − α^t|,
 2. closed-form update α^t ← median_{k,l}(W^t_k W^t_l),
-3. L-BFGS over the antisymmetric generators X^t with U^t = expm(X^t),
+3. a rotation step: L-BFGS over antisymmetric X^t in U^t = U₀^t cay(X^t),
+   a Cayley retraction around the current rotations U₀, from X = 0,
 4. plateau check on the two-body norm over a sliding window of outer
    iterations.
 
@@ -16,8 +17,8 @@ gradient from it (``_scdf_objective``).
 
 The unconstrained variant keeps full symmetric cores V^t: its V-step is an
 exact linear least-squares solve (ridge-regularized for a quadratic penalty,
-subgradient L-BFGS for an L1 penalty), the U-step is the same generator-space
-L-BFGS (one ``_rotation_step`` serves both optimizers). The exact solves run
+subgradient L-BFGS for an L1 penalty), the U-step is the same rotation step
+(one ``_rotation_step`` serves both optimizers). The exact solves run
 in symmetry-reduced coordinates (packed symmetric cores against packed
 8-fold symmetric tensors): an isometric restriction of the N⁴ x T·N²
 Kronecker design with the same solution and 1/10 (N = 7) to 1/16 (large N)
@@ -25,14 +26,13 @@ of its entries. Each full-rank objective evaluation forms the residual
 Δ = g − Σ_t C^t V^t C^t^T once, as one GEMM over the stacked design blocks
 C^t, and reads the cost and either gradient from it with batched matmuls.
 
-All gradients are analytic; the generator-space gradient pulls the U-space
-gradient back through the Fréchet derivative of the matrix exponential
-(adjoint identity <G, D expm(X)[E]> = <D expm(X^T)[G], E>). A real
-antisymmetric X is normal, X = V diag(μ) V^H with μ purely imaginary, so
-one batched Hermitian eigendecomposition of -iX gives both U = V e^μ V^H
-and the Fréchet derivative V((V^H G V) ∘ Φ)V^H in closed form, Φ being the
-Daleckii–Krein divided differences of exp over μ (Higham, Functions of
-Matrices, 2008, ch. 3).
+All gradients are analytic. The rotation step is the curvilinear search of
+Wen & Yin (Math. Program., 2013); on retractions see Absil, Mahony &
+Sepulchre (2008). With A = I − X/2 (never singular for antisymmetric X),
+C = cay(X) = A⁻¹(I + X/2) = 2A⁻¹ − I and dC = ½ A⁻¹ dX (I + C), so a U-space
+gradient G pulls back to M − M^T with M = ½ A⁻^T (U₀^T G)(I + C)^T =
+A⁻^T (U₀^T G) A⁻^T: one batched real inverse per evaluation gives U and its
+gradient. The seed U₀ = expm(X₀) still comes from the exponential map.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ LBFGS_TOLERANCE = 1e-12
 LBFGS_MEMORY = 10
 # outer iterations the SCDF plateau rule looks back over
 PLATEAU_WINDOW = 5
+# entries (0.4 GB) of the exact V-step's design: N=14 at 4N leaves fits, N=15 does not
+MAX_V_DESIGN_ENTRIES = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -159,12 +161,6 @@ def grad_scdf_u(g: TwoElectronTensor, u: np.ndarray, w: np.ndarray) -> np.ndarra
     return _grad_u_rank1(u, w, y)
 
 
-def grad_scdf_x(g: TwoElectronTensor, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Generator-space gradient at U = expm(X); antisymmetric per leaf."""
-    eig = _eig_generators(x)
-    return _pull_back(eig, grad_scdf_u(g, _rotations(eig), w))
-
-
 # ---------------------------------------------------------------------------
 # cost and gradients, full-rank cores
 
@@ -250,9 +246,8 @@ def grad_cdf_u(g: TwoElectronTensor, u: np.ndarray, v: np.ndarray) -> np.ndarray
 # generator parametrization
 
 
-def _x_to_flat(x: np.ndarray, iu: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Strict upper triangles of the stack; ``iu`` is np.triu_indices(n, k=1), built here if not given."""
-    iu = np.triu_indices(x.shape[1], k=1) if iu is None else iu
+def _x_to_flat(x: np.ndarray, iu: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Strict upper triangles of the stack; ``iu`` is np.triu_indices(n, k=1)."""
     return x[:, iu[0], iu[1]].ravel()
 
 
@@ -279,29 +274,23 @@ def _rotations(eig: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return np.real((vecs * np.exp(mu)[:, None, :]) @ vecs.conj().transpose(0, 2, 1))
 
 
-def _pull_back(eig: tuple[np.ndarray, np.ndarray], grad_u: np.ndarray) -> np.ndarray:
-    """Generator-space gradients from U-space ones, via Daleckii–Krein.
-
-    Per leaf this is D expm(X^T)[G] − (D expm(X^T)[G])^T, the adjoint of
-    E ↦ D expm(X)[E] restricted to antisymmetric E.
-    X^T = −X has eigenvalues −μ = conj(μ) on the same V, so
-    D expm(X^T)[G] = V((V^H G V) ∘ conj Φ)V^H with the divided differences
-    Φ_ij = (e^μ_i − e^μ_j)/(μ_i − μ_j), formed as e^μ_j expm1(d)/d for
-    d = μ_i − μ_j (and e^μ_j where d = 0) to stay accurate for close μ.
-    """
-    vecs, mu = eig
-    d = mu[:, :, None] - mu[:, None, :]
-    same = d == 0
-    ratio = np.where(same, 1.0, np.expm1(d) / np.where(same, 1.0, d))
-    phi = np.exp(mu)[:, None, :] * ratio
-    vh = vecs.conj().transpose(0, 2, 1)
-    full = np.real(vecs @ ((vh @ grad_u @ vecs) * phi.conj()) @ vh)
-    return full - full.transpose(0, 2, 1)
-
-
 def _expm_stack(x: np.ndarray) -> np.ndarray:
     """expm(X^t) for every leaf, from one batched eigendecomposition."""
     return _rotations(_eig_generators(x))
+
+
+def _cayley(u0: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, A⁻¹) with U = U₀ cay(X) = U₀ (2A⁻¹ − I), A = I − X/2; U = U₀ exactly at X = 0."""
+    eye = np.eye(x.shape[1])
+    inv = np.linalg.inv(eye - 0.5 * x)
+    return u0 @ (2.0 * inv - eye), inv
+
+
+def _cayley_pull_back(u0: np.ndarray, inv: np.ndarray, grad_u: np.ndarray) -> np.ndarray:
+    """Generator-space gradients M − M^T, M = A⁻^T (U₀^T G) A⁻^T, with ``inv`` = A⁻¹."""
+    inv_t = inv.transpose(0, 2, 1)
+    m = inv_t @ (u0.transpose(0, 2, 1) @ grad_u) @ inv_t
+    return m - m.transpose(0, 2, 1)
 
 
 def generator_from_rotation(u: np.ndarray) -> np.ndarray:
@@ -345,30 +334,31 @@ def _lbfgs(fun, x0: np.ndarray) -> np.ndarray:
     return res.x
 
 
-def _rotation_step(cost_and_grad_u, x: np.ndarray, outer: int) -> tuple[np.ndarray, np.ndarray]:
-    """L-BFGS over the generators X from ``x``; returns (X, U = expm(X)).
+def _rotation_step(cost_and_grad_u, u0: np.ndarray, outer: int) -> np.ndarray:
+    """L-BFGS over the generators X of U = U₀ cay(X) from X = 0; returns U.
 
     ``cost_and_grad_u(U)`` gives the cost and its U-space gradient; the
-    gradient is pulled back to X through the same eigendecomposition that
-    gives U. A U that drifted off the orthogonal group is an error.
+    gradient is pulled back to X through the same inverse that gives U. A
+    failed inverse or a U that drifted off the orthogonal group is an error.
     """
-    t, n, _ = x.shape
+    t, n, _ = u0.shape
     iu = np.triu_indices(n, k=1)
 
     def objective(xflat: np.ndarray):
-        eig = _eig_generators(_flat_to_x(xflat, t, n, iu))
-        cost, grad_u = cost_and_grad_u(_rotations(eig))
-        return cost, _x_to_flat(_pull_back(eig, grad_u), iu)
+        u, inv = _cayley(u0, _flat_to_x(xflat, t, n, iu))
+        cost, grad_u = cost_and_grad_u(u)
+        return cost, _x_to_flat(_cayley_pull_back(u0, inv, grad_u), iu)
 
     try:
-        x = _flat_to_x(_lbfgs(objective, _x_to_flat(x, iu)), t, n, iu)
+        x = _flat_to_x(_lbfgs(objective, np.zeros(t * len(iu[0]))), t, n, iu)
+        u = _cayley(u0, x)[0]
     except np.linalg.LinAlgError as exc:
-        raise OptimizationError(f"generator eigendecomposition failed: {exc}", iteration=outer) from exc
-    u = _expm_stack(x)
-    err = max(np.max(np.abs(ut.T @ ut - np.eye(n))) for ut in u)
-    if err > ORTHOGONALITY_TOL:
+        raise OptimizationError(f"Cayley inverse failed: {exc}", iteration=outer) from exc
+    err = np.max(np.abs(u.transpose(0, 2, 1) @ u - np.eye(n)))
+    # written so that NaN fails the check
+    if not err <= ORTHOGONALITY_TOL:
         raise OptimizationError(f"rotation drifted off the manifold ({err:.2e})", iteration=outer)
-    return x, u
+    return u
 
 
 def _median_alpha(w: np.ndarray) -> np.ndarray:
@@ -401,7 +391,7 @@ def _scdf_record(
 def _init_state(
     g: TwoElectronTensor, n_df: int, config: OptimizerConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Initial (X, W) stacks for n_df leaves."""
+    """Initial (X, W) stacks for n_df leaves; the optimizers start at U₀ = expm(X)."""
     n = g.n_orbitals
     gnorm = float(np.linalg.norm(g.as_matrix()))
     scale = np.sqrt(gnorm / max(n_df * n, 1))
@@ -416,6 +406,8 @@ def _init_state(
     base = second_factorization(_psd_leaves(g.as_matrix(), n, seed_leaves))
     x = np.zeros((n_df, n, n))
     w = np.zeros((n_df, n))
+    # U₀ = expm(logm(U_xdf)) on purpose: the benchmark's rcdf quality amplifies any roundoff
+    # in U₀. The round trip goes with the rest of ROADMAP item 3(a) once item 1 lands.
     for t in range(base.n_leaves):
         x[t] = generator_from_rotation(base.rotations[t])
         w[t] = base.factors[t]
@@ -477,11 +469,11 @@ def optimize_scdf(
 
     trace: list[TraceRow] = []
     prev_lambda = np.inf
-    snapshot = (x.copy(), w.copy(), alpha.copy())
+    snapshot = (u, w, alpha)
     for outer in range(1, config.max_outer_iters + 1):
         w = _lbfgs(w_objective, w.ravel()).reshape(n_df, n)
         alpha = _median_alpha(w)
-        x, u = _rotation_step(cost_and_grad_u, x, outer)
+        u = _rotation_step(cost_and_grad_u, u, outer)
 
         cost, residual_cost, y = _scdf_objective(gmat, u, w, alpha, rho)
         _check_finite(cost, outer)
@@ -492,13 +484,12 @@ def optimize_scdf(
         # just churn: keep the previous iterate. A random seed must first
         # grow the norm while it fits the tensor, so no guard there.
         if config.init_mode == "from_xdf" and lam2 > prev_lambda + 1e-12:
-            x, w, alpha = snapshot
-            u = _expm_stack(x)
+            u, w, alpha = snapshot
             logger.debug("norm increased at outer %d; reverted", outer)
             break
         grad_norm = float(np.max(np.abs(_grad_w(u, w, alpha, rho, y))))
         trace.append(TraceRow(outer, cost, residual_cost, cost - residual_cost, lam2, grad_norm))
-        snapshot = (x.copy(), w.copy(), alpha.copy())
+        snapshot = (u, w, alpha)
         prev_lambda = lam2
         if len(trace) > PLATEAU_WINDOW:
             past = trace[-1 - PLATEAU_WINDOW]
@@ -529,9 +520,17 @@ def _reduced_v_design(gpacked: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, n
     pair, again weighted √2 off the diagonal. Columns are the orthonormal
     symmetric cores per leaf, k ≤ l, i.e. (C⊗C)(e_k e_l^T + e_l e_k^T)/√2 off
     the diagonal. ``gpacked`` is g's packed matrix form, M x M with
-    M = N(N+1)/2. Returns (design, packed g), M(M+1)/2 x T·N(N+1)/2.
+    M = N(N+1)/2. Returns (design, packed g), M(M+1)/2 x T·M, refused past
+    MAX_V_DESIGN_ENTRIES before anything is allocated.
     """
     t, _, n = c.shape
+    m = n * (n + 1) // 2
+    rows, cols = m * (m + 1) // 2, t * m
+    if rows * cols > MAX_V_DESIGN_ENTRIES:
+        raise ValidationError(
+            f"the V-step design for {t} leaves of {n} orbitals is {rows} x {cols} = "
+            f"{rows * cols} entries, over the {MAX_V_DESIGN_ENTRIES}-entry bound"
+        )
     # one packing serves the orbital pairs (p, q) of the rows and the core
     # entries (k, l) of the columns
     i, j, w = _packing(n)
@@ -606,7 +605,7 @@ def optimize_cdf(
 ) -> tuple[FullRankFactorization, list[TraceRow]]:
     """Full-rank compressed factorization (regularized when ρ > 0).
 
-    Alternates the exact V-step with the generator-space U-step until the
+    Alternates the exact V-step with the Cayley rotation step until the
     cost stalls. The γ = 2 penalty turns the V-step into a ridge solve;
     γ = 1 keeps a kinked objective handled by subgradient L-BFGS.
     """
@@ -623,7 +622,7 @@ def optimize_cdf(
     prev_cost = np.inf
     for outer in range(1, config.max_outer_iters + 1):
         v = solve_v_step(g, u, rho, gamma, v)
-        x, u = _rotation_step(lambda um: _cdf_cost_and_grad_u(gmat, um, v, rho, gamma), x, outer)
+        u = _rotation_step(lambda um: _cdf_cost_and_grad_u(gmat, um, v, rho, gamma), u, outer)
         c = _design_blocks(u)
         cost, residual, y = _cdf_objective(gmat, c, v, rho, gamma)
         _check_finite(cost, outer)

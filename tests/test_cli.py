@@ -555,7 +555,7 @@ def _write_integrals(dump, path, values, norb=None):
         (["factorize", "{first_eigh_fails}", "--method", "xdf-shift"], 3, "factorize"),
         (["factorize", "{second_eigh_fails}", "--method", "xdf-shift"], 3, "factorize"),
         (["factorize", "{one_body_eigh_fails}", "--method", "xdf"], 3, "read-input"),
-        (["factorize", "{huge_g}", "--method", "scdf", "--max-outer", "1", "--ndf", "4"], 3, "factorize"),
+        # a 1e200 entry overflows the full-rank cost
         (["factorize", "{huge_g}", "--method", "cdf", "--max-outer", "1", "--ndf", "4"], 3, "factorize"),
         # found by the fuzz test: the Frobenius error overflowed to inf and failed at write-output
         (["verify", "{record}", "{huge_g}"], 3, "verify"),
@@ -587,7 +587,7 @@ def _write_integrals(dump, path, values, norb=None):
         "huge_w_resources", "huge_w_verify", "huge_alpha_resources", "huge_alpha_verify_fci",
         "ndf_abc", "kr_3", "kr_x", "eps_0", "synth_orbitals_0",
         "f_overflow", "eigs_overflow", "first_eigh_fails", "second_eigh_fails", "one_body_eigh_fails",
-        "scdf_generator_eigh_fails", "cdf_generator_eigh_fails", "frobenius_overflow_verify",
+        "cdf_cost_non_finite", "frobenius_overflow_verify",
         "block_over_cap",
         "eps_nan", "eps_inf", "sweep_eps_nan", "delta_alpha_nan", "delta_alpha_inf", "rho_nan", "rho_inf",
         "rho_negative", "delta_df_nan", "delta_df_negative", "max_outer_negative", "seed_negative", "synth_seed_negative", "synth_e_nuc_nan",
@@ -619,11 +619,26 @@ def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_re
     assert assert_one_stage_label(code, err) == stage
     if "{n11_record}" in argv:
         assert "213444 states" in err
+    if argv[0] == "factorize" and "{huge_g}" in argv:
+        assert "cost became non-finite" in err
     for flag, value in zip(argv, argv[1:]):
         if value in ("nan", "inf", "-1"):
             assert _FLAG_NAMES[flag] in err.splitlines()[-1]
     if argv[0] == "synth":
         assert not os.path.exists(argv[1].format(**paths))
+
+
+@no_runtime_warnings
+def test_scdf_on_a_huge_integral_writes_finite_output(tmp_path, xdf_record, capsys):
+    # the rank-1 loop keeps a 1e200 entry finite: its rotation step has no eigensolve left to fail
+    huge_g, record = tmp_path / "huge_g.fcidump", tmp_path / "huge_g.scdf.json"
+    _write_integrals(xdf_record[0], huge_g, {"1 1 1 1": "1e200"})
+    capsys.readouterr()
+    argv = ["factorize", str(huge_g), "--method", "scdf", "--max-outer", "1", "--ndf", "4", "--output", str(record)]
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["summary"]
+    assert all(np.isfinite(value) for value in summary.values() if isinstance(value, float))
+    json.loads(record.read_text(), parse_constant=_reject_constant)
 
 
 # Boundary fuzzing: mutate up to three FCIDUMP entries or one record field and

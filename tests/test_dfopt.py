@@ -6,18 +6,20 @@ import pytest
 import hamfactor as hf
 from hamfactor import dfopt
 from hamfactor.dfopt import (
+    _cayley,
+    _cayley_pull_back,
     _cdf_cost_and_grad_u,
-    _eig_generators,
     _expm_stack,
     _flat_to_x,
-    _pull_back,
+    _init_state,
+    _rotation_step,
     _x_to_flat,
     generator_from_rotation,
     grad_cdf_u,
     grad_cdf_v,
     grad_scdf_u,
 )
-from hamfactor.errors import ValidationError
+from hamfactor.errors import OptimizationError, ValidationError
 
 from conftest import data_path, make_instance
 
@@ -124,31 +126,26 @@ def test_grad_u_matches_fd(n):
         assert rel_err(analytic, fd) < 1e-6
 
 
-def test_grad_x_matches_fd():
-    g, _ = make_instance(3, seed=13)
-    n_df = 4
-    u, x, w, alpha = random_point(g, n_df, seed=5)
+@pytest.mark.parametrize("n, t", [(4, 3), (5, 2)])
+@pytest.mark.parametrize("x_norm", [0.0, 0.5, 3.0])
+def test_cayley_gradient_matches_fd(n, t, x_norm):
+    """Generator-space gradient of U = U₀ cay(X) at X = 0, moderate X and ‖X‖₂ ≈ 3."""
+    g, _ = make_instance(n, seed=13)
+    u0, x, w, alpha = random_point(g, t, seed=5)
+    if x_norm:
+        x *= x_norm / np.max(np.linalg.norm(x, 2, axis=(1, 2)))
+    else:
+        x[:] = 0.0
 
     def cost_of_flat(xflat):
-        xm = _flat_to_x(xflat, n_df, 3)
-        return hf.cost_scdf(g, _expm_stack(xm), w, alpha, 0.0)
+        return hf.cost_scdf(g, _cayley(u0, _flat_to_x(xflat, t, n))[0], w, alpha, 0.0)
 
-    x0 = _x_to_flat(x)
-    analytic = _x_to_flat(hf.grad_scdf_x(g, x, w))
-    fd = np.array(
-        [
-            (cost_of_flat(x0 + FD_STEP * e) - cost_of_flat(x0 - FD_STEP * e)) / (2 * FD_STEP)
-            for e in np.eye(x0.size)
-        ]
-    )
-    assert rel_err(analytic, fd) < 1e-6
-
-
-def test_grad_x_generators_antisymmetric():
-    g, _ = make_instance(3, seed=14)
-    u, x, w, alpha = random_point(g, 4, seed=6)
-    gen = _pull_back(_eig_generators(x), grad_scdf_u(g, _expm_stack(x), w))
-    assert np.max(np.abs(gen + np.transpose(gen, (0, 2, 1)))) < 1e-12
+    u, inv = _cayley(u0, x)
+    gen = _cayley_pull_back(u0, inv, grad_scdf_u(g, u, w))
+    assert np.max(np.abs(gen + np.transpose(gen, (0, 2, 1)))) == 0.0
+    iu = np.triu_indices(n, k=1)
+    fd = central_fd(cost_of_flat, _x_to_flat(x, iu))
+    assert rel_err(_x_to_flat(gen, iu), fd) < 1e-6
 
 
 def _antisymmetric_stack(rng, t, n, scale):
@@ -172,6 +169,7 @@ def _repeated_pair_blocks(rng, n_blocks, scale):
     + [(case, scale) for case in ("even", "odd", "repeated_pairs") for scale in (0.01, 1.0, 10.0)],
 )
 def test_batched_rotations_and_pull_back_match_scipy(case, scale):
+    """The seed's batched expm, and the Cayley retraction and its pull-back, against per-leaf scipy."""
     import scipy.linalg
 
     rng = np.random.default_rng(31)
@@ -183,14 +181,53 @@ def test_batched_rotations_and_pull_back_match_scipy(case, scale):
     }[case]()
     grad_u = rng.standard_normal(x.shape)
 
-    u_ref = np.stack([scipy.linalg.expm(xt) for xt in x])
-    gen_ref = np.empty_like(grad_u)
+    u0 = _expm_stack(x)
+    eye = np.eye(x.shape[1])
+    cay_ref, gen_ref = np.empty_like(x), np.empty_like(x)
     for t in range(x.shape[0]):
-        full = scipy.linalg.expm_frechet(x[t].T, grad_u[t], compute_expm=False)
+        a = eye - 0.5 * x[t]
+        cay_ref[t] = scipy.linalg.solve(a, eye + 0.5 * x[t])
+        full = 0.5 * scipy.linalg.solve(a.T, u0[t].T @ grad_u[t] @ (eye + cay_ref[t]).T)
         gen_ref[t] = full - full.T
 
-    assert rel_err(_expm_stack(x), u_ref) < 1e-12
-    assert rel_err(_pull_back(_eig_generators(x), grad_u), gen_ref) < 1e-12
+    assert rel_err(u0, np.stack([scipy.linalg.expm(xt) for xt in x])) < 1e-12
+    u, inv = _cayley(u0, x)
+    assert rel_err(u, u0 @ cay_ref) < 1e-12
+    assert rel_err(_cayley_pull_back(u0, inv, grad_u), gen_ref) < 1e-12
+
+
+def _quadratic_pull(target):
+    """cost_and_grad_u for ½‖U − target‖², whose minimizer over rotations is off every start."""
+    return lambda u: (0.5 * float(np.sum((u - target) ** 2)), u - target)
+
+
+def test_rotation_step_returns_orthogonal_rotations():
+    rng = np.random.default_rng(32)
+    u0 = _expm_stack(_antisymmetric_stack(rng, 4, 6, 0.5))
+    target = rng.standard_normal((4, 6, 6))
+    u = _rotation_step(_quadratic_pull(target), u0, outer=1)
+    assert np.max(np.abs(np.transpose(u, (0, 2, 1)) @ u - np.eye(6))) <= dfopt.ORTHOGONALITY_TOL
+    assert _quadratic_pull(target)(u)[0] < _quadratic_pull(target)(u0)[0]
+
+
+def test_rotation_step_turns_a_failed_final_inverse_into_optimization_error(monkeypatch):
+    def singular(u0, x):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    u0 = np.stack([np.eye(3)] * 2)
+    # skip every evaluation, so the only inverse taken is the final one
+    monkeypatch.setattr(dfopt, "_lbfgs", lambda fun, x0: x0)
+    monkeypatch.setattr(dfopt, "_cayley", singular)
+    with pytest.raises(OptimizationError, match="Cayley inverse failed"):
+        _rotation_step(_quadratic_pull(u0), u0, outer=3)
+
+
+def test_rotation_step_rejects_non_finite_rotations(monkeypatch):
+    u0 = np.stack([np.eye(3)] * 2)
+    # a NaN in the second leaf: a per-leaf max would have kept only the first leaf's error
+    monkeypatch.setattr(dfopt, "_lbfgs", lambda fun, x0: np.where(np.arange(x0.size) < 3, 0.0, np.nan))
+    with pytest.raises(OptimizationError, match="drifted off the manifold"):
+        _rotation_step(_quadratic_pull(u0), u0, outer=1)
 
 
 def test_cdf_gradients_match_fd():
@@ -351,6 +388,32 @@ def test_cdf_stops_once_the_fit_is_exact():
     assert len(trace) == 1
     once, _ = hf.optimize_cdf(g, n_df, hf.OptimizerConfig(rho=0.0, max_outer_iters=1))
     assert hf.factorization_to_dict(fact) == hf.factorization_to_dict(once)
+
+
+def test_cdf_first_cores_come_from_the_untouched_seed():
+    # the seed path U₀ = expm(X₀) is kept bit for bit: the first V-step sees exactly it
+    g, _, _, _ = hf.parse_fcidump(data_path("chain_n06.fcidump"))
+    n_df = 4 * g.n_orbitals
+    config = hf.OptimizerConfig(rho=0.0, max_outer_iters=1)
+    fact, _ = hf.optimize_cdf(g, n_df, config)
+    v = hf.solve_v_step(g, _expm_stack(_init_state(g, n_df, config)[0]))
+    assert np.array_equal(np.stack(fact.cores), v)
+
+
+def test_v_step_refuses_an_oversized_design_before_allocating():
+    import tracemalloc
+
+    n, t = 20, 80  # 22155 x 16800 entries, 3.0 GB
+    g = hf.TwoElectronTensor(np.zeros((n, n, n, n)))
+    u = np.tile(np.eye(n), (t, 1, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"22155 x 16800 = 372204000 entries.*50000000-entry bound"):
+            hf.solve_v_step(g, u, rho=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_dfopt_binds_the_scipy_kernels_perfbench_traces():
