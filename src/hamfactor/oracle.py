@@ -1,4 +1,4 @@
-"""Exact-diagonalization oracle: dense matrices and one spin block, from one pair operator.
+"""Exact-diagonalization oracle: dense matrices and one spin block, from per-spin string tables.
 
 Builds the qubit Hamiltonian under the Jordan-Wigner convention: qubit i is
 spin orbital i, orbital-major with the up block first (orbital p maps to
@@ -15,40 +15,31 @@ g̃ = reconstruct_tensor(fact) (``encoded_integrals``). So the oracle reads a
 factorization only through its reconstruction and its shift fields; the
 squared-direction construction itself is kept as a test reference.
 
-Every basis (a whole sector, the whole Fock space or one spin block) is a
-``Basis``: sorted occupation strings and one sparse pair operator
-T = [F_1 ... F_M] over the M = N(N+1)/2 pairs p ≤ q, F_pq = E_pq + E_qp
-(F_pp = E_pp). T is filled from one table of every nonzero <row|E_pq|col>,
-found for all states at once by bit masks, popcount parities and a sorted
-search. On the pair form (k_a, G_ab) of (k, g), H is built from T alone:
-densely as e·I + sum_a k_a F_a + 1/2 T·A, A stacking the blocks
-sum_b G_ab F_b, or matrix-free as sigma = e·c + K c + 1/2 T(G(T^T c)), the
-symmetric F_a making T^T their stack.
+H conserves each spin's electron count, so every basis it is built on (a whole
+sector, the whole Fock space or one spin block) is a direct sum of blocks of
+down strings × up strings, the determinant-CI layout of Knowles & Handy (1984),
+read through one cached table per spin of F_a = E_pq + E_qp (F_pp = E_pp) over
+the M = N(N+1)/2 pairs p ≤ q. A down hop's Jordan-Wigner sign counts every up
+electron twice, so F_a = F^down_a ⊗ 1 + 1 ⊗ F^up_a, and a block is
+1 ⊗ h_up + h_down ⊗ 1 plus one cross term (``_block_matrix``).
 
 Agreement of the builds is the ground truth for factorization fidelity and
 for the shift-correction identity:
 
-* ``build_from_integrals`` / ``build_from_factorization`` give a dense
-  matrix over a whole particle-number sector (capped at 14 qubits) or the
-  whole Fock space (12 qubits), for tests that compare matrices.
+* ``build_from_integrals`` / ``build_from_factorization`` give a dense matrix
+  over a whole particle-number sector (capped at 14 qubits) or the whole Fock
+  space (12 qubits), for tests that compare matrices.
 * ``block_ground_level`` solves any (k, g, e_nuc) on one ``spin_block``, as
   ``verify --fci`` does for its exact, encoded and bare Hamiltonians: dense
-  and for the lowest eigenpairs only up to DENSE_BLOCK_STATES states, by an
-  ARPACK Lanczos solve (``eigsh``) of the matrix-free product past that.
-  Blocks over MAX_BLOCK_STATES states are refused.
+  for the lowest eigenpairs only up to DENSE_BLOCK_STATES states, by ARPACK
+  Lanczos (``eigsh``) past that, and refused past MAX_BLOCK_STATES states.
 
-Ground levels come from the spin block with 2M_s = N_e mod 2, not from the
-whole sector. H is built from the spin-summed E_pq, so it conserves each
-spin's electron count and commutes with S^2: the sector matrix is block
-diagonal in 2M_s = n_up − n_down, and every spin multiplet has a member with
-2M_s = N_e mod 2. That one block therefore holds the sector's ground energy,
-and its eigenvectors, padded with zeros, are eigenvectors of the whole sector
-matrix. An overlap of a vector in the block with the ground level is
-unchanged by dropping the level's other M_s members: the level's projector
-commutes with S_z, so it maps the block into itself. The block's states are
-the products of the C(N, n_up) up strings and C(N, n_down) down strings with
-n_up = ceil(N_e/2), the determinant-CI layout of Knowles & Handy (1984);
-spin-conserving hops map the block into itself, so its T is closed.
+Ground levels come from the spin block with 2M_s = N_e mod 2. H is built from
+the spin-summed E_pq, so it commutes with S^2 as well: every spin multiplet
+has a member in that block, which holds the sector's ground energy, and whose
+eigenvectors, padded with zeros, are eigenvectors of the sector matrix. The
+level's projector commutes with S_z, so dropping its other M_s members leaves
+the overlap of any vector in the block with the level unchanged.
 
 A ground level holds every eigenvalue within LEVEL_TOL·max(1, |E0|) of E0.
 Both solvers ask for the m lowest pairs and double m until the last one lies
@@ -58,6 +49,7 @@ Lanczos, as far as it resolves the copies of a repeated eigenvalue).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -90,66 +82,55 @@ class DenseHamiltonian:
     sector: int | str
 
 
-def _transitions(n: int, states: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(rows, cols, pq, signs) of every nonzero <row|E_pq|col> over sorted states.
-
-    Each entry is a spin-orbital hop Q -> P of E_pq = a^dag_p↑ a_q↑ + a^dag_p↓ a_q↓:
-    Q occupied, P empty once Q is, with the Jordan-Wigner sign of the occupied
-    orbitals below Q, then below P. Both spins of a diagonal E_pp hit one
-    (row, col, pq); building a matrix sums them.
-    """
-    pq = np.tile(np.arange(n * n), 2)
-    spin = np.repeat([0, n], n * n)  # up block, then down block
-    hop_p, hop_q = (np.stack(np.divmod(pq, n)) + spin)[:, :, None]
-    stripped = states & ~(1 << hop_q)
-    target = stripped | (1 << hop_p)
-    hop, cols = np.nonzero((stripped != states) & (target != stripped))
-    below = np.bitwise_count(states & ((1 << hop_q) - 1)) + np.bitwise_count(stripped & ((1 << hop_p) - 1))
-    rows = np.searchsorted(states, target[hop, cols])
-    return rows, cols, pq[hop], np.where(below[hop, cols] & 1, -1.0, 1.0)
-
-
 @dataclass(frozen=True)
-class Basis:
-    """Sorted occupation strings and T, d x M·d, whose block a (columns a·d on) is F_a.
+class SpinTable:
+    """One spin's sorted strings of a count and its F_a in ``_packing`` pair order, in two forms.
 
-    Pairs run in ``_packing`` order; E_pq^T = E_qp makes every F_a symmetric.
+    Row i of F_a holds sign[a, i] (0: none) in column source[a, i]; ``side_by_side`` is [F_1 … F_M].
     """
 
-    states: np.ndarray
-    pairs: sp.csr_matrix
+    strings: np.ndarray
+    source: np.ndarray
+    sign: np.ndarray
+    side_by_side: sp.csr_matrix
 
 
-def _basis(n: int, states: np.ndarray) -> Basis:
-    """The states and T, filled straight from ``_transitions`` and sorted by row once."""
-    rows, cols, pq, signs = _transitions(n, states)
+@functools.lru_cache(maxsize=32)
+def _spin_table(n: int, count: int) -> SpinTable:
+    """The table of ``count`` electrons of one spin in n orbitals, built from its hops.
+
+    A hop q -> p of E_pq needs q occupied and p empty once q is; its sign counts the occupied
+    orbitals below q, then below p. No string meets both E_pq and E_qp, so F_a has at most one entry per row.
+    """
+    strings = np.array(sorted(sum(1 << i for i in c) for c in combinations(range(n), count)), dtype=np.int64)
+    hop_p, hop_q = np.divmod(np.arange(n * n)[:, None], n)
+    stripped = strings & ~(1 << hop_q)
+    target = stripped | (1 << hop_p)
+    hop, cols = np.nonzero((stripped != strings) & (target != stripped))
+    below = np.bitwise_count(strings & ((1 << hop_q) - 1)) + np.bitwise_count(stripped & ((1 << hop_p) - 1))
+    rows = np.searchsorted(strings, target[hop, cols])
+    signs = np.where(below[hop, cols] & 1, -1.0, 1.0)
     p, q, _ = _packing(n)
     pair = np.zeros((n, n), dtype=np.int64)
     pair[p, q] = pair[q, p] = np.arange(len(p))
-    d = len(states)
-    # E_pq and E_qp (p ≠ q) hop in opposite directions, so their entries never
-    # meet; both spins of E_pp meet on the diagonal and are summed
-    pairs = sp.csr_matrix((signs, (rows, pair.ravel()[pq] * d + cols)), shape=(d, len(p) * d))
-    return Basis(states, pairs)
+    a, d = pair.ravel()[hop], len(strings)
+    source, sign = np.tile(np.arange(d), (len(p), 1)), np.zeros((len(p), d))
+    source[a, rows], sign[a, rows] = cols, signs
+    return SpinTable(strings, source, sign, sp.csr_matrix((signs, (rows, a * d + cols)), shape=(d, len(p) * d)))
 
 
-def _operator_basis(n: int, sector: int | str) -> Basis:
-    """The sector's (or the whole Fock space's) sorted occupation strings and their T."""
-    n_qubits = 2 * n
-    cap = MAX_QUBITS if sector != "all" else MAX_FULL_SPACE_QUBITS
-    if n_qubits > cap:
-        raise ValidationError(
-            f"{n_qubits} spin orbitals exceed the dense bound ({cap} qubits"
-            f"{' without a sector' if sector == 'all' else ''})"
-        )
-    states = np.arange(1 << n_qubits)
-    if sector != "all":
-        if not isinstance(sector, (int, np.integer)):
-            raise ValidationError(f"sector must be an electron count or 'all', got {sector!r}")
-        if sector < 0 or sector > n_qubits:
-            raise ValidationError(f"sector {sector} is empty for {n_qubits} spin orbitals")
-        states = states[np.bitwise_count(states) == sector]
-    return _basis(n, states)
+@dataclass(frozen=True)
+class SpinBlock:
+    """The (n_up, n_down) block: state i·d_up + j is (down string i << N) | up string j, sorted."""
+
+    states: np.ndarray
+    up: SpinTable
+    down: SpinTable
+
+
+def _block(n: int, n_up: int, n_down: int) -> SpinBlock:
+    up, down = _spin_table(n, n_up), _spin_table(n, n_down)
+    return SpinBlock(((down.strings << n)[:, None] | up.strings).ravel(), up, down)
 
 
 def _pair_integrals(k: np.ndarray, garr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,38 +143,57 @@ def _pair_integrals(k: np.ndarray, garr: np.ndarray) -> tuple[np.ndarray, np.nda
     return (0.5 * (k + k.T))[p, q], 0.5 * (gpair + gpair.T)
 
 
-def _pair_sums(pairs: sp.csr_matrix, weights: np.ndarray) -> sp.csr_matrix:
-    """The blocks sum_b weights[a, b] F_b stacked by a (row a·d + row), as one CSR.
-
-    T's row-sorted ``indptr``/``indices``/``data`` give every block directly.
-    """
-    d = pairs.shape[0]
-    b, cols = np.divmod(pairs.indices, d)
-    data = np.take(weights, b, axis=1)  # C order, so scipy does not copy it
-    data *= pairs.data
-    starts = (np.arange(len(weights))[:, None] * pairs.nnz + pairs.indptr[:-1]).ravel()
-    return sp.csr_matrix(
-        (data.ravel(), np.tile(cols, len(weights)), np.append(starts, data.size)),
-        shape=(len(weights) * d, d),
-    )
+def _spin_h(table: SpinTable, kpair: np.ndarray, gpair: np.ndarray) -> np.ndarray:
+    """Dense h = sum_a k_a F_a + 1/2 sum_ab G_ab F_a F_b of one spin, by sparse products (dense F: M·d² entries)."""
+    m, d = table.sign.shape
+    flat = table.side_by_side.T.reshape(m, d * d)  # row a is F_a, flattened
+    gf = (sp.csr_matrix(gpair) @ flat).reshape(m * d, d)  # row block a is sum_b G_ab F_b
+    return (flat.T @ kpair).reshape(d, d) + 0.5 * (table.side_by_side @ gf).toarray()
 
 
-def _dense_matrix(k: np.ndarray, garr: np.ndarray, e_nuc: float, basis: Basis) -> np.ndarray:
-    """Dense e_nuc + sum_a k_a F_a + 1/2 T·A over the basis, A stacking sum_b G_ab F_b."""
-    kpair, gpair = _pair_integrals(k, garr)
-    d, pairs = len(basis.states), basis.pairs
-    ham = sp.identity(d, format="csr") * float(e_nuc)
-    ham = ham + _pair_sums(pairs, kpair[None, :]) + 0.5 * (pairs @ _pair_sums(pairs, gpair))
-    dense = ham.toarray()
+def _block_matrix(block: SpinBlock, kpair: np.ndarray, gpair: np.ndarray, e_nuc: float) -> np.ndarray:
+    """Dense e·1 + 1 ⊗ h_up + h_down ⊗ 1 + sum_a F^down_a ⊗ (sum_b G_ab F^up_b) over the block."""
+    spins = []
+    for table in (block.up, block.down):  # small here: dense stacks beat ``_spin_h`` tenfold
+        d = len(table.strings)
+        f = table.side_by_side.T.toarray().reshape(-1, d, d)
+        gf = np.tensordot(gpair, f, 1)  # sum_b G_ab F_b
+        h = np.tensordot(kpair, f, 1) + 0.5 * (f.transpose(1, 0, 2).reshape(d, -1) @ gf.reshape(-1, d))
+        spins.append((f, gf, h))
+    (_, gf_up, h_up), (f_down, _, h_down) = spins
+    d_up, d_down, d = len(h_up), len(h_down), len(block.states)
+    dense = np.tensordot(f_down, gf_up, (0, 0)).transpose(0, 2, 1, 3).reshape(d, d)
+    kron = dense.reshape(d_down, d_up, d_down, d_up)  # its diagonals are writable einsum views
+    np.einsum("ijik->ijk", kron)[...] += h_up + e_nuc * np.eye(d_up)
+    np.einsum("ijkj->jik", kron)[...] += h_down
     dense += dense.T  # numpy buffers the overlapping transpose
     dense *= 0.5
     return dense
 
 
 def _assemble(k: np.ndarray, garr: np.ndarray, e_nuc: float, sector: int | str) -> DenseHamiltonian:
+    """The dense direct sum of the sector's (or the Fock space's) spin blocks, in sorted state order."""
     n = k.shape[0]
-    basis = _operator_basis(n, sector)
-    return DenseHamiltonian(_dense_matrix(k, garr, e_nuc, basis), tuple(basis.states.tolist()), 2 * n, sector)
+    n_qubits = 2 * n
+    cap = MAX_QUBITS if sector != "all" else MAX_FULL_SPACE_QUBITS
+    if n_qubits > cap:
+        raise ValidationError(
+            f"{n_qubits} spin orbitals exceed the dense bound ({cap} qubits"
+            f"{' without a sector' if sector == 'all' else ''})"
+        )
+    if sector != "all" and not isinstance(sector, (int, np.integer)):
+        raise ValidationError(f"sector must be an electron count or 'all', got {sector!r}")
+    if sector != "all" and not 0 <= sector <= n_qubits:
+        raise ValidationError(f"sector {sector} is empty for {n_qubits} spin orbitals")
+    counts = range(n_qubits + 1) if sector == "all" else [int(sector)]
+    blocks = [_block(n, up, ne - up) for ne in counts for up in range(max(0, ne - n), min(n, ne) + 1)]
+    states = np.sort(np.concatenate([block.states for block in blocks]))
+    kpair, gpair = _pair_integrals(k, garr)
+    matrix = np.zeros((len(states), len(states)))
+    for block in blocks:
+        at = np.searchsorted(states, block.states)
+        matrix[np.ix_(at, at)] = _block_matrix(block, kpair, gpair, e_nuc)
+    return DenseHamiltonian(matrix, tuple(states.tolist()), n_qubits, sector)
 
 
 def build_from_integrals(
@@ -238,13 +238,8 @@ def build_from_factorization(
     return _assemble(k, garr, one_body.e_nuc, sector)
 
 
-def _strings(n: int, count: int) -> np.ndarray:
-    """Every n-bit occupation string with ``count`` bits set, sorted."""
-    return np.sort(np.array([sum(1 << i for i in c) for c in combinations(range(n), count)], dtype=np.int64))
-
-
-def spin_block(n: int, n_electrons: int) -> Basis:
-    """The 2M_s = N_e mod 2 block of N_e electrons: states up ⊗ down, and their T.
+def spin_block(n: int, n_electrons: int) -> SpinBlock:
+    """The 2M_s = N_e mod 2 block of N_e electrons: states down ⊗ up, and their spin tables.
 
     n_up = ceil(N_e/2) and n_down = floor(N_e/2). The size is checked against MAX_BLOCK_STATES before anything is allocated.
     """
@@ -259,8 +254,7 @@ def spin_block(n: int, n_electrons: int) -> Basis:
             f"the 2M_s = {n_electrons % 2} block of {n_electrons} electrons in {n} orbitals has "
             f"{size} states, over the {MAX_BLOCK_STATES}-state bound"
         )
-    states = ((_strings(n, n_down) << n)[:, None] | _strings(n, n_up)).ravel()
-    return _basis(n, states)
+    return _block(n, n_up, n_down)
 
 
 def _lowest_level(lowest_pairs, most: int) -> tuple[float, np.ndarray]:
@@ -281,28 +275,33 @@ def _dense_level(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return _lowest_level(lambda m: _checked_eigh(matrix, "Hamiltonian matrix", lowest=m), len(matrix))
 
 
-def _block_operator(block: Basis, k: np.ndarray, garr: np.ndarray, e_nuc: float) -> LinearOperator:
-    """sigma = e·c + K c + 1/2 T(G(T^T c)) on the block, never forming H.
+def _block_operator(block: SpinBlock, k: np.ndarray, garr: np.ndarray, e_nuc: float) -> LinearOperator:
+    """sigma = e·C + h_down C + C h_up + sum_ab G_ab F^down_a C F^up_b on the block, never forming H.
 
-    Every F_a is symmetric, so T^T stacks them: T^T c holds every F_a c, and
-    T(Y) = sum_a F_a Y_a. T^T is copied once into row-sorted CSR: its CSC
-    view would scatter into the M·d-long output on every product.
+    The cross term is one M × M GEMM over the gathered F^down_a C, transposed so that F^up acts from the left.
     """
     if not (np.all(np.isfinite(k)) and np.all(np.isfinite(garr)) and math.isfinite(e_nuc)):
         raise NumericalError("Hamiltonian operator has non-finite coefficients")
     kpair, gpair = _pair_integrals(k, garr)
-    side_by_side, stacked = block.pairs, block.pairs.T.tocsr()
-    d, m = len(block.states), len(kpair)
+    h_up, h_down = (_spin_h(table, kpair, gpair) for table in (block.up, block.down))
+    d_up, d_down, m = len(h_up), len(h_down), len(kpair)
+    # kept across products: fresh M·d arrays cost more in page faults than in arithmetic
+    excited, mixed = np.empty((m, d_down, d_up)), np.empty((m, d_down * d_up))
 
     def matvec(c: np.ndarray) -> np.ndarray:
-        c = c.ravel()
-        excited = (stacked @ c).reshape(m, d)
-        sigma = e_nuc * c + kpair @ excited + 0.5 * (side_by_side @ (gpair @ excited).ravel())
+        c = c.reshape(d_down, d_up)
+        np.take(c, block.down.source, axis=0, out=excited, mode="clip")  # "raise" would buffer out
+        np.multiply(excited, block.down.sign[:, :, None], out=excited)
+        np.matmul(gpair, excited.reshape(m, -1), out=mixed)
+        # excited is spent; it takes the mix, transposed
+        np.copyto(excited.reshape(m, d_up, d_down), mixed.reshape(m, d_down, d_up).transpose(0, 2, 1))
+        sigma = (block.up.side_by_side @ excited.reshape(m * d_up, d_down)).T
+        sigma += h_down @ c + c @ h_up + e_nuc * c
         if not np.all(np.isfinite(sigma)):
             raise NumericalError("Hamiltonian operator overflows on a vector")
-        return sigma
+        return sigma.ravel()
 
-    return LinearOperator((d, d), matvec=matvec, dtype=float)
+    return LinearOperator((len(block.states),) * 2, matvec=matvec, dtype=float)
 
 
 def _lanczos_pairs(op: LinearOperator, m: int, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,7 +317,7 @@ def _lanczos_pairs(op: LinearOperator, m: int, v0: np.ndarray) -> tuple[np.ndarr
 
 
 def block_ground_level(
-    block: Basis, k: np.ndarray, garr: np.ndarray, e_nuc: float, v0: np.ndarray | None = None
+    block: SpinBlock, k: np.ndarray, garr: np.ndarray, e_nuc: float, v0: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """(E0, orthonormal columns spanning the ground level) of e_nuc + k·E + 1/2 g·EE on the block.
 
@@ -327,7 +326,7 @@ def block_ground_level(
     """
     d = len(block.states)
     if d <= DENSE_BLOCK_STATES:
-        return _dense_level(_dense_matrix(k, garr, e_nuc, block))
+        return _dense_level(_block_matrix(block, *_pair_integrals(k, garr), e_nuc))
     if v0 is None:
         v0 = np.random.default_rng(0).standard_normal(d)
     op = _block_operator(block, k, garr, e_nuc)
@@ -365,7 +364,7 @@ def _spin_block_level(
 def ground_energy(hd: DenseHamiltonian, n_electrons: int | None = None) -> float:
     """Lowest eigenvalue, restricted to the n-electron sector when given."""
     if n_electrons is None:
-        return float(np.linalg.eigvalsh(hd.matrix)[0])
+        return float(_checked_eigh(hd.matrix, "Hamiltonian matrix", lowest=1)[0][0])
     return _ground_space(hd, n_electrons)[0]
 
 

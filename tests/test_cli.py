@@ -354,6 +354,22 @@ def test_verify_fci_on_h2(tmp_path, capsys):
     assert fci["shift_eigenvector_overlap"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_verify_fci_on_the_matrix_free_path(tmp_path, capsys):
+    # chain_n08's 4900-state spin block is past DENSE_BLOCK_STATES, so all
+    # three ground levels come from the Lanczos solve of the matrix-free product
+    dump = data_path("chain_n08.fcidump")
+    fact_path = tmp_path / "n08.json"
+    code, _ = run(capsys, "factorize", dump, "--method", "xdf-shift", "--output", str(fact_path))
+    assert code == 0
+    code, payload = run(capsys, "verify", str(fact_path), dump, "--fci")
+    assert code == 0
+    fci = payload["fci"]
+    assert fci["n_electrons"] == 8
+    assert fci["ground_exact"] == pytest.approx(-8.10537028783724, abs=1e-9)
+    assert fci["ground_restored"] == pytest.approx(-8.105503707766708, abs=1e-9)
+    assert fci["shift_correction_residual"] <= 1e-9
+
+
 def test_verify_fci_shift_identity_with_per_leaf_shifts(tmp_path, capsys):
     # xdf-shift leaves per-leaf shifts at zero, so only this path exercises
     # the quadratic term of the restoration identity; the residual is exact

@@ -9,12 +9,12 @@ import pytest
 
 import hamfactor as hf
 from hamfactor import oracle
-from hamfactor.errors import ValidationError
+from hamfactor.errors import NumericalError, ValidationError
 from hamfactor.oracle import (
     MAX_FULL_SPACE_QUBITS,
     MAX_QUBITS,
     _ground_space,
-    _operator_basis,
+    _spin_table,
     block_ground_level,
     encoded_integrals,
     spin_block,
@@ -73,36 +73,42 @@ def ladder_operators(n, states):
     )
 
 
-def pair_blocks(basis):
-    """The blocks F_a of the basis' pair operator T, in pair order."""
-    d = len(basis.states)
-    return [basis.pairs[:, a * d : (a + 1) * d] for a in range(basis.pairs.shape[1] // d)]
+def table_blocks(table):
+    """The F_a of one spin table as dense matrices, in pair order, from its sparse side-by-side form."""
+    d = len(table.strings)
+    return table.side_by_side.toarray().reshape(d, -1, d).transpose(1, 0, 2)
 
 
-@pytest.mark.parametrize("sector", ["all", 3])
-def test_excitation_table_matches_per_state_ladder_products(sector):
-    n = 3
-    basis = _operator_basis(n, sector)
-    ladders = ladder_operators(n, basis.states.tolist())
-    blocks = pair_blocks(basis)
-    assert len(blocks) == n * (n + 1) // 2
-    for block, (p, q) in zip(blocks, zip(*np.triu_indices(n))):
-        expected = ladders[p, q]
-        if p != q:
-            # E_pq and E_qp hop in opposite directions: no entry of one can
-            # cancel or hide an entry of the other in F_pq = E_pq + E_qp
-            assert np.any(ladders[p, q]) and not np.any(ladders[p, q] * ladders[q, p])
-            expected = expected + ladders[q, p]
-        assert np.array_equal(block.toarray(), expected)
+def test_spin_tables_match_per_string_ladder_products():
+    for n in (2, 3, 4):
+        for count in range(n + 1):
+            table = _spin_table(n, count)
+            strings = table.strings.tolist()
+            assert strings == [s for s in range(1 << n) if s.bit_count() == count]
+            blocks = table_blocks(table)
+            assert len(blocks) == n * (n + 1) // 2
+            for block, (p, q) in zip(blocks, zip(*np.triu_indices(n))):
+                expected = ladder_product(p, q, strings)
+                if p != q:
+                    # E_pq and E_qp hop in opposite directions: no entry of one can
+                    # cancel or hide an entry of the other in F_pq = E_pq + E_qp
+                    reverse = ladder_product(q, p, strings)
+                    assert np.any(expected) == (0 < count < n) and not np.any(expected * reverse)
+                    expected = expected + reverse
+                assert np.array_equal(block, expected)
 
 
-def test_pair_blocks_are_symmetric():
-    # the matrix-free product reads T^T as the stack of the F_a
-    bases = [_operator_basis(n, sector) for n in (2, 3, 4) for sector in ["all", *range(2 * n + 1)]]
-    bases.append(spin_block(6, 6))
-    for basis in bases:
-        for block in pair_blocks(basis):
-            assert (block != block.T).nnz == 0
+def test_spin_table_blocks_are_symmetric():
+    # the oracle reads [F_1 ... F_M] transposed as their stack, and the row
+    # form (source, sign) of F_a as its columns too
+    tables = [_spin_table(n, count) for n in (2, 3, 4, 6) for count in range(n + 1)]
+    for table in tables:
+        d = len(table.strings)
+        for block, source, sign in zip(table_blocks(table), table.source, table.sign):
+            assert np.array_equal(block, block.T)
+            rows = np.zeros((d, d))
+            rows[np.arange(d), source] = sign
+            assert np.array_equal(rows, block)
 
 
 def test_h2_fci_against_two_determinant_ci(h2_path):
@@ -231,6 +237,20 @@ def test_sector_block_consistency():
     assert hf.ground_energy(full, 2) == pytest.approx(hf.ground_energy(direct, 2), abs=1e-12)
     with pytest.raises(ValidationError):
         hf.ground_energy(direct, 3)
+
+
+def test_whole_space_ground_energy_refuses_non_finite_matrices():
+    hd = hf.build_from_integrals(np.diag([0.25, -0.75]), zeros_tensor(2))
+    poisoned = hd.matrix.copy()
+    poisoned[0, 0] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        hf.ground_energy(replace(hd, matrix=poisoned))
+    g = np.zeros((2, 2, 2, 2))
+    g[0, 0, 0, 0] = 1e308  # overflows once both spins of orbital 0 are paired
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflowing = hf.build_from_integrals(np.zeros((2, 2)), g)
+    with pytest.raises(NumericalError, match="non-finite"):
+        hf.ground_energy(overflowing)
 
 
 def two_ms(state, n):
@@ -389,19 +409,34 @@ def test_matrix_free_level_matches_dense(monkeypatch):
             v0 = dense[:, 0]  # warm-start the encoded solve, as verify --fci does
 
 
-def test_matrix_free_sigma_is_bit_identical_to_the_csc_stacking():
-    """sigma through the row-sorted CSR copy of T^T equals sigma through T's CSC view, bit for bit."""
-    g, h, e_nuc, _ = hf.parse_fcidump(data_path("chain_n08.fcidump"))
-    ob = hf.derive_one_body(h, g, e_nuc)
-    block = spin_block(8, 8)
-    d = len(block.states)
-    kpair, gpair = oracle._pair_integrals(ob.k, g.g)
-    op = oracle._block_operator(block, ob.k, g.g, ob.e_nuc)
+def test_matrix_free_sigma_matches_the_dense_block():
+    # chain_n06 with 5 electrons has 20 up by 15 down strings, so C is not square
     rng = np.random.default_rng(8)
-    for c in (rng.standard_normal(d), np.eye(d)[0], np.ones(d)):
-        excited = (block.pairs.T @ c).reshape(len(kpair), d)
-        reference = ob.e_nuc * c + kpair @ excited + 0.5 * (block.pairs @ (gpair @ excited).ravel())
-        assert op.matvec(c).tobytes() == reference.tobytes()
+    for n, ne in ((6, 6), (7, 7), (6, 5)):
+        g, ob = chain_problem(n)
+        block = spin_block(n, ne)
+        d = len(block.states)
+        dense = oracle._block_matrix(block, *oracle._pair_integrals(ob.k, g.g), ob.e_nuc)
+        op = oracle._block_operator(block, ob.k, g.g, ob.e_nuc)
+        for c in (rng.standard_normal(d), np.eye(d)[d // 3], np.ones(d)):
+            reference = dense @ c
+            assert np.linalg.norm(op.matvec(c) - reference) <= 1e-13 * np.linalg.norm(reference)
+
+
+def test_matrix_free_block_stays_small():
+    # tables of N bits and N² hops, and σ's two M·d work arrays (2 × 28 MB at N = 10)
+    import tracemalloc
+
+    g, ob = chain_problem(10)
+    tracemalloc.start()
+    try:
+        block = spin_block(10, 10)
+        op = oracle._block_operator(block, ob.k, g.g, ob.e_nuc)
+        op.matvec(np.ones(len(block.states)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6
 
 
 def test_spin_block_refuses_before_allocating():
