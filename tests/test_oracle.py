@@ -98,6 +98,42 @@ def test_spin_tables_match_per_string_ladder_products():
                 assert np.array_equal(block, expected)
 
 
+def sector_pair_blocks(n, sector):
+    """The F_a of a sector (or the Fock space) in sorted state order, composed as the oracle lays out its blocks.
+
+    Over a spin block, F_a = 1 ⊗ F^up_a + F^down_a ⊗ 1: a down hop passes every up electron twice, so its sign is the down string's.
+    """
+    counts = range(2 * n + 1) if sector == "all" else [sector]
+    blocks = [oracle._block(n, up, ne - up) for ne in counts for up in range(max(0, ne - n), min(n, ne) + 1)]
+    states = np.sort(np.concatenate([block.states for block in blocks]))
+    out = np.zeros((n * (n + 1) // 2, len(states), len(states)))
+    for block in blocks:
+        up, down = table_blocks(block.up), table_blocks(block.down)
+        eye_up, eye_down = np.eye(up.shape[1]), np.eye(down.shape[1])
+        at = np.searchsorted(states, block.states)
+        for a in range(len(out)):
+            out[a][np.ix_(at, at)] = np.kron(eye_down, up[a]) + np.kron(down[a], eye_up)
+    return states, out
+
+
+@pytest.mark.parametrize("sector", ["all", 3])
+def test_excitation_table_matches_per_state_ladder_products(sector):
+    n = 3
+    states, blocks = sector_pair_blocks(n, sector)
+    expected_states = [s for s in range(1 << 2 * n) if sector == "all" or s.bit_count() == sector]
+    assert states.tolist() == expected_states
+    ladders = ladder_operators(n, expected_states)
+    assert len(blocks) == n * (n + 1) // 2
+    for block, (p, q) in zip(blocks, zip(*np.triu_indices(n))):
+        expected = ladders[p, q]
+        if p != q:
+            # E_pq and E_qp hop in opposite directions: no entry of one can
+            # cancel or hide an entry of the other in F_pq = E_pq + E_qp
+            assert np.any(ladders[p, q]) and not np.any(ladders[p, q] * ladders[q, p])
+            expected = expected + ladders[q, p]
+        assert np.array_equal(block, expected)
+
+
 def test_spin_table_blocks_are_symmetric():
     # the oracle reads [F_1 ... F_M] transposed as their stack, and the row
     # form (source, sign) of F_a as its columns too
