@@ -84,15 +84,12 @@ class DenseHamiltonian:
 
 @dataclass(frozen=True)
 class SpinTable:
-    """One spin's sorted strings of a count and its F_a in ``_packing`` pair order, in two forms.
-
-    Row i of F_a holds sign[a, i] (0: none) in column source[a, i]; ``side_by_side`` is [F_1 … F_M].
-    """
+    """One spin's sorted strings of a count and its F_a in ``_packing`` pair order, by rows:
+    row i of F_a holds sign[a, i] (0: none) in column source[a, i]."""
 
     strings: np.ndarray
     source: np.ndarray
     sign: np.ndarray
-    side_by_side: sp.csr_matrix
 
 
 @functools.lru_cache(maxsize=32)
@@ -116,7 +113,9 @@ def _spin_table(n: int, count: int) -> SpinTable:
     a, d = pair.ravel()[hop], len(strings)
     source, sign = np.tile(np.arange(d), (len(p), 1)), np.zeros((len(p), d))
     source[a, rows], sign[a, rows] = cols, signs
-    return SpinTable(strings, source, sign, sp.csr_matrix((signs, (rows, a * d + cols)), shape=(d, len(p) * d)))
+    for arr in (strings, source, sign):
+        arr.flags.writeable = False  # cached, so shared by every block
+    return SpinTable(strings, source, sign)
 
 
 @dataclass(frozen=True)
@@ -144,24 +143,22 @@ def _pair_integrals(k: np.ndarray, garr: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _spin_h(table: SpinTable, kpair: np.ndarray, gpair: np.ndarray) -> np.ndarray:
-    """Dense h = sum_a k_a F_a + 1/2 sum_ab G_ab F_a F_b of one spin, by sparse products (dense F: M·d² entries)."""
-    m, d = table.sign.shape
-    flat = table.side_by_side.T.reshape(m, d * d)  # row a is F_a, flattened
-    gf = (sp.csr_matrix(gpair) @ flat).reshape(m * d, d)  # row block a is sum_b G_ab F_b
-    return (flat.T @ kpair).reshape(d, d) + 0.5 * (table.side_by_side @ gf).toarray()
+    """Dense h = sum_a k_a F_a + 1/2 sum_ab G_ab F_a F_b of one spin, from the rows of F, one b at a time."""
+    d = len(table.strings)
+    rows, mid = np.arange(d) * d, table.source
+    h = np.bincount((rows + mid).ravel(), (kpair[:, None] * table.sign).ravel(), d * d)
+    # row i of F_a F_b: sign[a, i]·sign[b, j] in column source[b, j], j = source[a, i]
+    for g_b, source, sign in zip(0.5 * gpair, table.source, table.sign):
+        h += np.bincount((rows + source[mid]).ravel(), (g_b[:, None] * table.sign * sign[mid]).ravel(), d * d)
+    return h.reshape(d, d)
 
 
 def _block_matrix(block: SpinBlock, kpair: np.ndarray, gpair: np.ndarray, e_nuc: float) -> np.ndarray:
     """Dense e·1 + 1 ⊗ h_up + h_down ⊗ 1 + sum_a F^down_a ⊗ (sum_b G_ab F^up_b) over the block."""
-    spins = []
-    for table in (block.up, block.down):  # small here: dense stacks beat ``_spin_h`` tenfold
-        d = len(table.strings)
-        f = table.side_by_side.T.toarray().reshape(-1, d, d)
-        gf = np.tensordot(gpair, f, 1)  # sum_b G_ab F_b
-        h = np.tensordot(kpair, f, 1) + 0.5 * (f.transpose(1, 0, 2).reshape(d, -1) @ gf.reshape(-1, d))
-        spins.append((f, gf, h))
-    (_, gf_up, h_up), (f_down, _, h_down) = spins
+    h_up, h_down = (_spin_h(table, kpair, gpair) for table in (block.up, block.down))
     d_up, d_down, d = len(h_up), len(h_down), len(block.states)
+    f_up, f_down = (np.eye(len(t.strings))[t.source] * t.sign[:, :, None] for t in (block.up, block.down))
+    gf_up = np.tensordot(gpair, f_up, 1)  # sum_b G_ab F^up_b
     dense = np.tensordot(f_down, gf_up, (0, 0)).transpose(0, 2, 1, 3).reshape(d, d)
     kron = dense.reshape(d_down, d_up, d_down, d_up)  # its diagonals are writable einsum views
     np.einsum("ijik->ijk", kron)[...] += h_up + e_nuc * np.eye(d_up)
@@ -285,6 +282,8 @@ def _block_operator(block: SpinBlock, k: np.ndarray, garr: np.ndarray, e_nuc: fl
     kpair, gpair = _pair_integrals(k, garr)
     h_up, h_down = (_spin_h(table, kpair, gpair) for table in (block.up, block.down))
     d_up, d_down, m = len(h_up), len(h_down), len(kpair)
+    a, i = np.nonzero(block.up.sign)  # [F^up_1 … F^up_M] side by side, sparse
+    up_side = sp.csr_matrix((block.up.sign[a, i], (i, a * d_up + block.up.source[a, i])), shape=(d_up, m * d_up))
     # kept across products: fresh M·d arrays cost more in page faults than in arithmetic
     excited, mixed = np.empty((m, d_down, d_up)), np.empty((m, d_down * d_up))
 
@@ -295,7 +294,7 @@ def _block_operator(block: SpinBlock, k: np.ndarray, garr: np.ndarray, e_nuc: fl
         np.matmul(gpair, excited.reshape(m, -1), out=mixed)
         # excited is spent; it takes the mix, transposed
         np.copyto(excited.reshape(m, d_up, d_down), mixed.reshape(m, d_down, d_up).transpose(0, 2, 1))
-        sigma = (block.up.side_by_side @ excited.reshape(m * d_up, d_down)).T
+        sigma = (up_side @ excited.reshape(m * d_up, d_down)).T
         sigma += h_down @ c + c @ h_up + e_nuc * c
         if not np.all(np.isfinite(sigma)):
             raise NumericalError("Hamiltonian operator overflows on a vector")

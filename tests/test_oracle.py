@@ -74,9 +74,12 @@ def ladder_operators(n, states):
 
 
 def table_blocks(table):
-    """The F_a of one spin table as dense matrices, in pair order, from its sparse side-by-side form."""
-    d = len(table.strings)
-    return table.side_by_side.toarray().reshape(d, -1, d).transpose(1, 0, 2)
+    """The F_a of one spin table as dense matrices, in pair order, from its rows."""
+    m, d = table.sign.shape
+    out = np.zeros((m, d, d))
+    for a, i in zip(*np.nonzero(table.sign)):
+        out[a, i, table.source[a, i]] = table.sign[a, i]
+    return out
 
 
 def test_spin_tables_match_per_string_ladder_products():
@@ -135,16 +138,14 @@ def test_excitation_table_matches_per_state_ladder_products(sector):
 
 
 def test_spin_table_blocks_are_symmetric():
-    # the oracle reads [F_1 ... F_M] transposed as their stack, and the row
-    # form (source, sign) of F_a as its columns too
+    # the oracle reads the rows (source, sign) of F_a as its columns too, and the tables are shared
     tables = [_spin_table(n, count) for n in (2, 3, 4, 6) for count in range(n + 1)]
     for table in tables:
-        d = len(table.strings)
-        for block, source, sign in zip(table_blocks(table), table.source, table.sign):
+        for block in table_blocks(table):
             assert np.array_equal(block, block.T)
-            rows = np.zeros((d, d))
-            rows[np.arange(d), source] = sign
-            assert np.array_equal(rows, block)
+        for arr in (table.strings, table.source, table.sign):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
 
 
 def test_h2_fci_against_two_determinant_ci(h2_path):
