@@ -32,7 +32,8 @@ Sepulchre (2008). With A = I − X/2 (never singular for antisymmetric X),
 C = cay(X) = A⁻¹(I + X/2) = 2A⁻¹ − I and dC = ½ A⁻¹ dX (I + C), so a U-space
 gradient G pulls back to M − M^T with M = ½ A⁻^T (U₀^T G)(I + C)^T =
 A⁻^T (U₀^T G) A⁻^T: one batched real inverse per evaluation gives U and its
-gradient. The seed U₀ = expm(X₀) still comes from the exponential map.
+gradient. The exponential map appears only in ``_init_state``'s seed
+U₀ = expm(X₀); the optimizers see U₀ alone.
 """
 
 from __future__ import annotations
@@ -258,25 +259,10 @@ def _flat_to_x(flat: np.ndarray, t: int, n: int, iu: tuple[np.ndarray, np.ndarra
     return x - x.transpose(0, 2, 1)
 
 
-def _eig_generators(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(V, μ) with X^t = V^t diag(μ^t) V^t^H for a stack of real antisymmetric X.
-
-    -iX is Hermitian, so one batched ``eigh`` gives unitary V and real
-    eigenvalues λ; μ = iλ is purely imaginary.
-    """
-    lam, vecs = np.linalg.eigh(-1j * x)
-    return vecs, 1j * lam
-
-
-def _rotations(eig: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """U^t = expm(X^t) = Re(V diag(e^μ) V^H) from ``_eig_generators``."""
-    vecs, mu = eig
-    return np.real((vecs * np.exp(mu)[:, None, :]) @ vecs.conj().transpose(0, 2, 1))
-
-
 def _expm_stack(x: np.ndarray) -> np.ndarray:
-    """expm(X^t) for every leaf, from one batched eigendecomposition."""
-    return _rotations(_eig_generators(x))
+    """expm(X^t) = Re(V diag(e^{iλ}) V^H) for real antisymmetric X^t, from one batched ``eigh`` of −iX = V diag(λ) V^H."""
+    lam, vecs = np.linalg.eigh(-1j * x)
+    return np.real((vecs * np.exp(1j * lam)[:, None, :]) @ vecs.conj().transpose(0, 2, 1))
 
 
 def _cayley(u0: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,21 +377,23 @@ def _scdf_record(
 def _init_state(
     g: TwoElectronTensor, n_df: int, config: OptimizerConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Initial (X, W) stacks for n_df leaves; the optimizers start at U₀ = expm(X)."""
+    """Initial (U₀, W) stacks for n_df leaves; U₀ = expm(X₀) is the one use of the exponential map."""
     n = g.n_orbitals
     gnorm = float(np.linalg.norm(g.as_matrix()))
     scale = np.sqrt(gnorm / max(n_df * n, 1))
+    try:
+        x, w = np.zeros((n_df, n, n)), np.zeros((n_df, n))
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(f"n_df = {n_df} leaves of {n} orbitals cannot be allocated") from exc
     if config.init_mode == "random":
         rng = np.random.default_rng(config.rng_seed)
         x = _flat_to_x(0.1 * rng.standard_normal(n_df * n * (n - 1) // 2), n_df, n)
         w = scale * rng.standard_normal((n_df, n))
-        return x, w
+        return _expm_stack(x), w
     seed_leaves = min(n_df, n * n)
     # the seed keeps the N^2 x N^2 form: the optimizers amplify roundoff, so
     # a packed seed would move every iterate
     base = second_factorization(_psd_leaves(g.as_matrix(), n, seed_leaves))
-    x = np.zeros((n_df, n, n))
-    w = np.zeros((n_df, n))
     # U₀ = expm(logm(U_xdf)) on purpose: the benchmark's rcdf quality amplifies any roundoff
     # in U₀. The round trip goes with the rest of ROADMAP item 3(a) once item 1 lands.
     for t in range(base.n_leaves):
@@ -416,7 +404,7 @@ def _init_state(
         # point the W-step can never leave
         rng = np.random.default_rng(config.rng_seed)
         w[base.n_leaves :] = 0.01 * scale * rng.standard_normal((n_df - base.n_leaves, n))
-    return x, w
+    return _expm_stack(x), w
 
 
 @dataclass
@@ -453,8 +441,7 @@ def optimize_scdf(
         raise ValidationError("n_df must be >= 1")
     n = g.n_orbitals
     gmat = g.as_matrix()
-    x, w = _init_state(g, n_df, config)
-    u = _expm_stack(x)
+    u, w = _init_state(g, n_df, config)
     alpha = np.zeros(n_df)
     rho = config.rho
 
@@ -614,8 +601,7 @@ def optimize_cdf(
     n = g.n_orbitals
     gmat = g.as_matrix()
     rho, gamma = config.rho, config.gamma
-    x, w = _init_state(g, n_df, config)
-    u = _expm_stack(x)
+    u, w = _init_state(g, n_df, config)
     v = np.stack([np.outer(wt, wt) for wt in w])
 
     trace: list[TraceRow] = []

@@ -177,7 +177,10 @@ def parse_fcidump(path: str) -> tuple[TwoElectronTensor, np.ndarray, float, dict
     if not isinstance(norb, int) or norb < 1:
         raise FcidumpParseError("header is missing a valid NORB", data_start)
 
-    g = np.zeros((norb, norb, norb, norb))
+    try:
+        g = np.zeros((norb, norb, norb, norb))
+    except (ValueError, MemoryError) as exc:
+        raise FcidumpParseError(f"NORB={norb} is too large to allocate its two-electron tensor", data_start) from exc
     h = np.zeros((norb, norb))
     values, index = _records(text, offset, data_start, norb)
     # a record sets every symmetry image of its index, so a later record of

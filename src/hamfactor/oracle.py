@@ -62,6 +62,7 @@ from .errors import NumericalError, ValidationError
 from .factorization import DoubleFactorization, reconstruct_tensor
 from .shift import shifted_tensor
 from .tensors import OneBodyTensors, TwoElectronTensor, _checked_eigh, _packing
+from .xdf import _unpacking
 
 MAX_QUBITS = 14
 MAX_FULL_SPACE_QUBITS = 12
@@ -107,11 +108,9 @@ def _spin_table(n: int, count: int) -> SpinTable:
     below = np.bitwise_count(strings & ((1 << hop_q) - 1)) + np.bitwise_count(stripped & ((1 << hop_p) - 1))
     rows = np.searchsorted(strings, target[hop, cols])
     signs = np.where(below[hop, cols] & 1, -1.0, 1.0)
-    p, q, _ = _packing(n)
-    pair = np.zeros((n, n), dtype=np.int64)
-    pair[p, q] = pair[q, p] = np.arange(len(p))
-    a, d = pair.ravel()[hop], len(strings)
-    source, sign = np.tile(np.arange(d), (len(p), 1)), np.zeros((len(p), d))
+    # hop p·n + q is the row-major key of ``_unpacking``
+    a, d, m = _unpacking(n)[hop], len(strings), n * (n + 1) // 2
+    source, sign = np.tile(np.arange(d), (m, 1)), np.zeros((m, d))
     source[a, rows], sign[a, rows] = cols, signs
     for arr in (strings, source, sign):
         arr.flags.writeable = False  # cached, so shared by every block
@@ -332,34 +331,6 @@ def block_ground_level(
     return _lowest_level(lambda m: _lanczos_pairs(op, m, v0), d - 1)
 
 
-def _sector_block(hd: DenseHamiltonian, n_electrons: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    if hd.sector == "all":
-        basis = np.asarray(hd.basis)
-        keep = np.flatnonzero(np.bitwise_count(basis) == n_electrons)
-        if not keep.size:
-            raise ValidationError(f"sector {n_electrons} is empty")
-        return hd.matrix[np.ix_(keep, keep)], tuple(basis[keep].tolist())
-    if hd.sector != n_electrons:
-        raise ValidationError(f"Hamiltonian was built in sector {hd.sector}, asked for {n_electrons}")
-    return hd.matrix, hd.basis
-
-
-def _spin_block_level(
-    block: np.ndarray, states: tuple[int, ...], n: int, n_electrons: int
-) -> tuple[float, np.ndarray]:
-    """(energy, level columns in the sector basis) of the 2M_s = N_e mod 2 block.
-
-    Rows outside the block are zero.
-    """
-    basis = np.asarray(states)
-    two_ms = np.bitwise_count(basis & ((1 << n) - 1)).astype(int) - np.bitwise_count(basis >> n)
-    keep = np.flatnonzero(two_ms == n_electrons % 2)
-    energy, vecs = _dense_level(block[np.ix_(keep, keep)])
-    level = np.zeros((len(basis), vecs.shape[1]))
-    level[keep] = vecs
-    return energy, level
-
-
 def ground_energy(hd: DenseHamiltonian, n_electrons: int | None = None) -> float:
     """Lowest eigenvalue, restricted to the n-electron sector when given."""
     if n_electrons is None:
@@ -370,13 +341,23 @@ def ground_energy(hd: DenseHamiltonian, n_electrons: int | None = None) -> float
 def _ground_space(hd: DenseHamiltonian, n_electrons: int) -> tuple[float, np.ndarray, tuple[int, ...]]:
     """(energy, orthonormal columns spanning the level, basis states) of the sector ground level.
 
-    The columns span the level's 2M_s = N_e mod 2 part (see the module
-    docstring), so a spin multiplet contributes its one member there rather
-    than an arbitrary mix of members.
+    The columns run over the sector's states and span the level's 2M_s = N_e mod 2
+    part (see the module docstring), zero outside that block, so a spin multiplet
+    contributes its one member there rather than an arbitrary mix of members.
     """
-    block, states = _sector_block(hd, n_electrons)
-    energy, level = _spin_block_level(block, states, hd.n_spin_orbitals // 2, n_electrons)
-    return energy, level, states
+    if hd.sector not in ("all", n_electrons):
+        raise ValidationError(f"Hamiltonian was built in sector {hd.sector}, asked for {n_electrons}")
+    n = hd.n_spin_orbitals // 2
+    basis = np.asarray(hd.basis)
+    up, down = (np.bitwise_count(bits).astype(int) for bits in (basis & ((1 << n) - 1), basis >> n))
+    in_sector = up + down == n_electrons
+    if not in_sector.any():
+        raise ValidationError(f"sector {n_electrons} is empty")
+    in_block = in_sector & (up - down == n_electrons % 2)
+    energy, vecs = _dense_level(hd.matrix[np.ix_(in_block, in_block)])
+    level = np.zeros((np.count_nonzero(in_sector), vecs.shape[1]))
+    level[in_block[in_sector]] = vecs
+    return energy, level, tuple(basis[in_sector].tolist())
 
 
 def ground_state(hd: DenseHamiltonian, n_electrons: int) -> tuple[float, np.ndarray, tuple[int, ...]]:

@@ -245,7 +245,13 @@ def global_two_body_shift(
         return second_factorization(leaves, delta_df, mode, signs=signs, a2_prime=float(a2p))
 
     def objective(a2p: float) -> float:
-        return two_body_burg_norm(shifted_xdf(a2p))
+        try:
+            fact = shifted_xdf(a2p)
+        except ValidationError:  # every leaf zero or truncated away: no record at this shift
+            if a2p == 0.0:
+                raise
+            return np.inf
+        return two_body_burg_norm(fact)
 
     diag = np.einsum("pprr->pr", g.g).ravel()
     lo, hi = float(diag.min()), float(diag.max())

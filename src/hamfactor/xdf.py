@@ -195,8 +195,9 @@ def second_factorization(
     ``leaves`` is a list or a stack of N x N matrices. Leaves whose retained
     rank drops to zero are removed. Eigenvector signs and ordering are made
     deterministic, so identical input yields bit-identical output. Exactly
-    zero leaves skip the eigensolve. ``a2_prime`` is the global shift the
-    leaves were taken after, stored in the record.
+    zero leaves skip the eigensolve; a stack of nothing else is refused.
+    ``a2_prime`` is the global shift the leaves were taken after, stored in
+    the record.
     """
     if len(leaves) == 0:
         raise ValidationError("second_factorization needs at least one leaf")
@@ -214,6 +215,8 @@ def second_factorization(
     symmetric = 0.5 * (stack + transposed)
     # an exactly zero leaf has rank 0 whatever the truncation
     live = (stack != 0).any(axis=(1, 2))
+    if not live.any():
+        raise ValidationError("every leaf is exactly zero: the two-electron tensor has nothing to factorize")
     vals, vecs = _order_by_magnitude(*_checked_eigh(symmetric[live], "leaf matrices"))
     factors = truncate_factors(vals, delta_df, mode)
     ranks = np.count_nonzero(factors, axis=-1)

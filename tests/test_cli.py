@@ -597,6 +597,16 @@ def _write_integrals(dump, path, values, norb=None):
         # overflowing leaves fail their eigensolve instead of losing every direction
         (["resources", "{huge_shifted_w}"], 3, "resources"),
         (["resources", "{huge_core}"], 3, "resources"),
+        # sizes numpy refuses to allocate: the message names the input that asked for them
+        (["factorize", "{huge_norb}", "--method", "xdf"], 2, "read-input"),
+        (["factorize", "{dump}", "--method", "scdf", "--ndf", "1000000000000000000"], 2, "factorize"),
+        (["factorize", "{dump}", "--method", "cdf", "--ndf", "1000000000000000000"], 2, "factorize"),
+        # one-body records only: each method died on the empty eigensolve of the zero tensor
+        (["factorize", "{one_body_only}", "--method", "xdf"], 2, "factorize"),
+        (["factorize", "{one_body_only}", "--method", "xdf-shift"], 2, "factorize"),
+        (["factorize", "{one_body_only}", "--method", "scdf"], 2, "factorize"),
+        (["factorize", "{one_body_only}", "--method", "cdf"], 2, "factorize"),
+        (["factorize", "{one_body_only}", "--method", "rcdf"], 2, "factorize"),
     ],
     ids=[
         "resources_output", "verify_output", "sweep_output", "synth_output", "non_utf8_fcidump",
@@ -608,6 +618,8 @@ def _write_integrals(dump, path, values, norb=None):
         "eps_nan", "eps_inf", "sweep_eps_nan", "delta_alpha_nan", "delta_alpha_inf", "rho_nan", "rho_inf",
         "rho_negative", "delta_df_nan", "delta_df_negative", "max_outer_negative", "seed_negative", "synth_seed_negative", "synth_e_nuc_nan",
         "synth_coulomb_inf", "synth_nelec_negative", "huge_shifted_w_resources", "huge_core_resources",
+        "norb_unallocatable", "scdf_ndf_unallocatable", "cdf_ndf_unallocatable",
+        "one_body_only_xdf", "one_body_only_xdf_shift", "one_body_only_scdf", "one_body_only_cdf", "one_body_only_rcdf",
     ],
 )
 def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_record, argv, code, stage):
@@ -617,8 +629,11 @@ def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_re
     paths.update({name: tmp_path / f"{name}.input" for name in (
         "binary", "huge_w", "huge_alpha", "f_overflow", "eigs_overflow",
         "first_eigh_fails", "second_eigh_fails", "one_body_eigh_fails", "huge_g", "huge_shifted_w", "huge_core",
+        "huge_norb", "one_body_only",
     )})
     paths["binary"].write_bytes(b"\xff\xfe garbage\n")
+    paths["huge_norb"].write_text(" &FCI NORB=100000,NELEC=2,MS2=0,\n &END\n 0.5 1 1 1 1\n 0.7 0 0 0 0\n")
+    hf.write_fcidump(str(paths["one_body_only"]), hf.TwoElectronTensor(np.zeros((2,) * 4)), np.diag([-1.0, -0.5]), 0.7, 2)
     _write_record(record, paths["huge_w"], _huge_w)
     _write_record(record, paths["huge_alpha"], _huge_alpha)
     _write_record(record, paths["huge_shifted_w"], _huge_shifted_w)
@@ -637,11 +652,33 @@ def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_re
         assert "213444 states" in err
     if argv[0] == "factorize" and "{huge_g}" in argv:
         assert "cost became non-finite" in err
+    if "{huge_norb}" in argv:
+        assert "NORB=100000" in err
+    if "1000000000000000000" in argv:
+        assert "n_df = 1000000000000000000" in err
+    if "{one_body_only}" in argv:
+        assert "nothing to factorize" in err
     for flag, value in zip(argv, argv[1:]):
         if value in ("nan", "inf", "-1"):
             assert _FLAG_NAMES[flag] in err.splitlines()[-1]
     if argv[0] == "synth":
         assert not os.path.exists(argv[1].format(**paths))
+
+
+@no_runtime_warnings
+@pytest.mark.parametrize("n", [1, 2])
+def test_xdf_shift_passes_over_a_shift_that_empties_the_tensor(tmp_path, capsys, n):
+    # g = c δ_pq δ_rs: the candidate a2′ = c leaves every leaf zero, which scores no record
+    eye = np.eye(n)
+    g = hf.TwoElectronTensor(0.65 * np.einsum("pq,rs->pqrs", eye, eye))
+    dump = tmp_path / f"delta_n{n}.fcidump"
+    hf.write_fcidump(str(dump), g, -eye, 0.7, 2)
+    lam = {}
+    for method in ("xdf", "xdf-shift"):
+        code, payload = run(capsys, "factorize", str(dump), "--method", method)
+        assert code == 0
+        lam[method] = payload["summary"]["lambda_burg"]
+    assert lam["xdf-shift"] <= lam["xdf"]
 
 
 @no_runtime_warnings

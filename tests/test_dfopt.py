@@ -396,7 +396,7 @@ def test_cdf_first_cores_come_from_the_untouched_seed():
     n_df = 4 * g.n_orbitals
     config = hf.OptimizerConfig(rho=0.0, max_outer_iters=1)
     fact, _ = hf.optimize_cdf(g, n_df, config)
-    v = hf.solve_v_step(g, _expm_stack(_init_state(g, n_df, config)[0]))
+    v = hf.solve_v_step(g, _init_state(g, n_df, config)[0])
     assert np.array_equal(np.stack(fact.cores), v)
 
 

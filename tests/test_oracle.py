@@ -272,7 +272,15 @@ def test_sector_block_consistency():
     full = hf.build_from_integrals(ob.k, g)
     direct = hf.build_from_integrals(ob.k, g, sector=2)
     assert hf.ground_energy(full, 2) == pytest.approx(hf.ground_energy(direct, 2), abs=1e-12)
-    with pytest.raises(ValidationError):
+    # the Fock-space build is filtered down to the sector the sector build holds whole
+    e_full, level_full, states_full = _ground_space(full, 2)
+    e_direct, level_direct, states_direct = _ground_space(direct, 2)
+    assert states_full == states_direct == direct.basis
+    assert e_full == pytest.approx(e_direct, abs=1e-12)
+    assert np.max(np.abs(level_full @ level_full.T - level_direct @ level_direct.T)) < 1e-12
+    with pytest.raises(ValidationError, match="empty"):
+        hf.ground_state(full, 5)
+    with pytest.raises(ValidationError, match="built in sector 2"):
         hf.ground_energy(direct, 3)
 
 
