@@ -23,6 +23,7 @@ import io
 import itertools
 import math
 import re
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .tensors import TwoElectronTensor
 
 WRITE_ZERO_TOL = 0.0
 _WRITE_BLOCK = 4096  # records formatted at once by write_fcidump
+_READ_BLOCK = 1 << 16  # characters of record text parse_fcidump reads at once
 
 _HEADER_FIELD = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\s*=\s*([^=]*?)(?=(?:,?\s*[A-Za-z][A-Za-z0-9_]*\s*=)|$)")
 
@@ -96,31 +98,46 @@ def _records_by_line(lines: list[str], start: int, norb: int) -> tuple[np.ndarra
 # field separators; reading the file in text mode already turned "\r" into "\n"
 _OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_BREAK = re.compile("\r\n|[\n\r" + _OTHER_BREAKS + "]")
+# D/d exponents read as E/e, and every other line break as "\n"
+_LOADTXT_SPELLING = str.maketrans({"D": "E", "d": "e", **dict.fromkeys(_OTHER_BREAKS, "\n")})
 
 
-def _records(text: str, offset: int, start: int, norb: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, 1-based indices R x 4) of the integral records: ``text`` from ``offset``, line ``start`` on.
+def _pieces(text: str, offset: int) -> Iterator[str]:
+    """``text`` from ``offset`` in pieces of whole lines, each of at least _READ_BLOCK characters but the last."""
+    while offset < len(text):
+        brk = _LINE_BREAK.search(text, offset + _READ_BLOCK)
+        end = brk.end() if brk else len(text)
+        yield text[offset:end]
+        offset = end
 
-    One vectorized read and check of the body as it stands in ``text``; any
-    line it does not accept sends the whole body to ``_records_by_line``,
-    which names the first bad line or accepts a spelling only Python's number
-    parsers know (such as ``1_0``).
+
+def _record_batches(text: str, offset: int, start: int, norb: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(values, 1-based indices R x 4) of the integral records, batch by batch, in file order.
+
+    ``text`` holds the records from ``offset``, line ``start`` on. Each piece
+    of it is read and checked at once. The first piece with a line this does
+    not accept sends the whole body to ``_records_by_line``, which names the
+    first bad line or accepts a spelling only Python's number parsers know
+    (such as ``1_0``); its one batch repeats the records of the pieces before
+    it, so the last record of each class still comes last.
     """
-    body = text[offset:]
-    if any(c in body for c in _OTHER_BREAKS):
-        body = "\n".join(body.splitlines())
-    body = body.replace("D", "E").replace("d", "e")
-    if body.strip():
+    for piece in _pieces(text, offset):
+        if piece.isspace():
+            continue
         try:
-            records = np.loadtxt(io.StringIO(body), dtype=_RECORD, comments=None, ndmin=1)
+            records = np.loadtxt(
+                io.StringIO(piece.translate(_LOADTXT_SPELLING)), dtype=_RECORD, comments=None, ndmin=1
+            )
         except (ValueError, OverflowError):
-            pass
-        else:
-            values, index = records["value"], records["index"]
-            in_range = np.all((index >= 0) & (index <= norb))
-            if np.all(np.isfinite(values)) and in_range and np.all(_supported(index != 0)):
-                return values, index
-    return _records_by_line(text.splitlines(), start, norb)
+            break
+        values, index = records["value"], records["index"]
+        in_range = np.all((index >= 0) & (index <= norb))
+        if not (np.all(np.isfinite(values)) and in_range and np.all(_supported(index != 0))):
+            break
+        yield values, index
+    else:
+        return
+    yield _records_by_line(text.splitlines(), start, norb)
 
 
 def _header(text: str) -> tuple[dict, int, int]:
@@ -159,6 +176,34 @@ def _last_of_each(key: np.ndarray) -> np.ndarray:
     return len(key) - 1 - first_from_end
 
 
+def _store(
+    g: np.ndarray, h: np.ndarray, orbital_energies: dict, values: np.ndarray, index: np.ndarray
+) -> float | None:
+    """Write one batch of records into g, h and ``orbital_energies``; return its last nuclear repulsion, or None.
+
+    A record sets every symmetry image of its index, so a later record of the
+    same class (equal sorted (i, j), (k, l) and pair order) replaces it.
+    """
+    norb = len(h)
+    base = norb + 1
+    i, j, k, l = index.T
+    orbital = (i > 0) & (j == 0)
+    orbital_energies.update(zip(i[orbital].tolist(), values[orbital].tolist()))
+    ij = np.maximum(i, j) * base + np.minimum(i, j)
+    kl = np.maximum(k, l) * base + np.minimum(k, l)
+    keep = _last_of_each(np.maximum(ij, kl) * base**2 + np.minimum(ij, kl))
+    v, (i, j, k, l) = values[keep], index[keep].T
+    two, one = k > 0, (j > 0) & (k == 0)
+    # flat positions (ab, cd) of the 8 images; distinct classes share none
+    pq, qp, rs, sr = ((a[two] - 1) * norb + b[two] - 1 for a, b in ((i, j), (j, i), (k, l), (l, k)))
+    flat, v2 = g.reshape(-1), v[two]
+    for x, y in ((pq, rs), (qp, rs), (pq, sr), (qp, sr)):
+        flat[x * norb**2 + y] = flat[y * norb**2 + x] = v2
+    h[i[one] - 1, j[one] - 1] = h[j[one] - 1, i[one] - 1] = v[one]
+    nuclear = v[i == 0]
+    return nuclear[0] if nuclear.size else None
+
+
 def parse_fcidump(path: str) -> tuple[TwoElectronTensor, np.ndarray, float, dict]:
     """Parse an FCIDUMP file.
 
@@ -182,26 +227,11 @@ def parse_fcidump(path: str) -> tuple[TwoElectronTensor, np.ndarray, float, dict
     except (ValueError, MemoryError) as exc:
         raise FcidumpParseError(f"NORB={norb} is too large to allocate its two-electron tensor", data_start) from exc
     h = np.zeros((norb, norb))
-    values, index = _records(text, offset, data_start, norb)
-    # a record sets every symmetry image of its index, so a later record of
-    # the same class (equal sorted (i, j), (k, l) and pair order) replaces it
-    base = norb + 1
-    i, j, k, l = index.T
-    ij = np.maximum(i, j) * base + np.minimum(i, j)
-    kl = np.maximum(k, l) * base + np.minimum(k, l)
-    keep = _last_of_each(np.maximum(ij, kl) * base**2 + np.minimum(ij, kl))
-    v, (i, j, k, l) = values[keep], index[keep].T
-    two, one = k > 0, (j > 0) & (k == 0)
-    # flat positions (ab, cd) of the 8 images; distinct classes share none
-    pq, qp, rs, sr = ((a[two] - 1) * norb + b[two] - 1 for a, b in ((i, j), (j, i), (k, l), (l, k)))
-    images = [(pq, rs), (qp, rs), (pq, sr), (qp, sr)]
-    flat = np.concatenate([ab * norb**2 + cd for x, y in images for ab, cd in ((x, y), (y, x))])
-    g.reshape(-1)[flat] = np.tile(v[two], 2 * len(images))
-    h[i[one] - 1, j[one] - 1] = h[j[one] - 1, i[one] - 1] = v[one]
-    orbital = (index[:, 0] > 0) & (index[:, 1] == 0)
-    orbital_energies = {int(at): float(x) for at, x in zip(index[orbital, 0], values[orbital])}
-    nuclear = v[i == 0]
-    e_nuc = nuclear[0] if nuclear.size else None
+    orbital_energies = {}
+    e_nuc = None
+    for values, index in _record_batches(text, offset, data_start, norb):
+        nuclear = _store(g, h, orbital_energies, values, index)
+        e_nuc = e_nuc if nuclear is None else nuclear
     warnings = []
 
     if e_nuc is None:

@@ -66,8 +66,9 @@ from .xdf import _unpacking
 
 MAX_QUBITS = 14
 MAX_FULL_SPACE_QUBITS = 12
-# past this many states a spin block is solved matrix-free
-DENSE_BLOCK_STATES = 2000
+# past this many states a spin block is solved matrix-free: the two solves
+# cross between 400 states (dense faster) and 735 (Lanczos about 2x faster)
+DENSE_BLOCK_STATES = 500
 # N=10 at half filling (63504 states) fits; N=11 (213444) does not
 MAX_BLOCK_STATES = 100_000
 LEVEL_TOL = 1e-8

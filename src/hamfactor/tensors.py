@@ -22,6 +22,7 @@ import scipy.linalg
 from .errors import NumericalError, ValidationError
 
 SYMMETRY_TOL = 1e-10
+_SYMMETRY_BLOCK = 1 << 14  # entries of g compared at once by check_two_electron_symmetry
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -70,6 +71,10 @@ def _packing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def check_two_electron_symmetry(g: np.ndarray, tol: float = SYMMETRY_TOL) -> float:
     """Return the maximum deviation of g from its 8-fold symmetry images.
 
+    The three generating permutations (pq|rs) → (qp|rs), (pq|sr), (rs|pq) are
+    compared on slices g[p:p + step] of at most _SYMMETRY_BLOCK entries, or
+    of one first index p where N³ is larger, so no temporary grows as N⁴:
+    the whole tensor at once up to N = 11, one p at a time from N = 21.
     Raises ValidationError if g holds a non-finite entry (which every
     deviation test would let through, since max(0.0, nan) is 0.0) or if the
     deviation exceeds ``tol``.
@@ -77,11 +82,19 @@ def check_two_electron_symmetry(g: np.ndarray, tol: float = SYMMETRY_TOL) -> flo
     g = np.asarray(g, dtype=float)
     if g.ndim != 4 or len(set(g.shape)) != 1:
         raise ValidationError(f"two-electron tensor must be N^4, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValidationError("two-electron tensor has non-finite entries")
+    n = g.shape[0]
+    step = max(1, _SYMMETRY_BLOCK // max(n, 1) ** 3)
     dev = 0.0
-    for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
-        dev = max(dev, float(np.max(np.abs(g - g.transpose(perm)))))
+    for p in range(0, n, step):
+        gp = g[p : p + step]
+        if not np.all(np.isfinite(gp)):
+            raise ValidationError("two-electron tensor has non-finite entries")
+        for image in (
+            g[:, p : p + step].transpose(1, 0, 2, 3),
+            gp.transpose(0, 1, 3, 2),
+            g[:, :, p : p + step].transpose(2, 3, 0, 1),
+        ):
+            dev = max(dev, float(np.max(np.abs(gp - image))))
     if dev > tol:
         raise ValidationError(
             f"two-electron tensor violates 8-fold symmetry by {dev:.3e} (tol {tol:.1e})"

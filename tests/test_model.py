@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import hamfactor as hf
 from hamfactor.errors import FcidumpParseError, NumericalError, ValidationError
+from hamfactor import fcidump, tensors
 from hamfactor.fcidump import WRITE_ZERO_TOL, _parse_header
+from hamfactor.tensors import check_two_electron_symmetry
 
 from conftest import DATA_DIR, make_instance
 
@@ -75,6 +77,58 @@ def test_two_electron_tensor_rejects_non_finite(bad):
     g[1, 1, 1, 1] = bad  # its own symmetry image: only a finiteness check sees it
     with pytest.raises(ValidationError, match="non-finite"):
         hf.TwoElectronTensor(g)
+
+
+GENERATORS = {"qp|rs": (1, 0, 2, 3), "pq|sr": (0, 1, 3, 2), "rs|pq": (2, 3, 0, 1)}
+
+
+def full_symmetry_deviation(g):
+    """The deviation over whole-tensor images, one N⁴ difference per generating permutation."""
+    return max(float(np.max(np.abs(g - g.transpose(perm)))) for perm in GENERATORS.values())
+
+
+@pytest.fixture(params=[1, 200, None], ids=["one_p", "three_p", "whole"])
+def symmetry_block(request, monkeypatch):
+    """Compare one first index p at a time, three at a time at N = 4 (and the fourth alone), or all at once."""
+    if request.param is not None:
+        monkeypatch.setattr(tensors, "_SYMMETRY_BLOCK", request.param)
+
+
+@pytest.mark.parametrize("perm", GENERATORS.values(), ids=GENERATORS.keys())
+def test_symmetry_deviation_of_one_broken_image(small_instance, symmetry_block, perm):
+    g, _ = small_instance
+    delta = 2.0**-10
+    x = (0, 1, 2, 3)  # eight distinct images
+    image = tuple(x[a] for a in perm)
+    broken = g.g.copy()
+    broken[image] += delta  # (pq|rs) and this one image now differ by δ
+    dev = check_two_electron_symmetry(broken, tol=1.0)
+    assert dev == full_symmetry_deviation(broken) and dev == pytest.approx(delta, rel=1e-12)
+    with pytest.raises(ValidationError, match="violates 8-fold symmetry"):
+        check_two_electron_symmetry(broken, tol=delta / 2)
+    # δ on both: the permutation that swaps them now sees nothing, the other two still see δ
+    broken[x] += delta
+    dev = check_two_electron_symmetry(broken, tol=1.0)
+    assert dev == full_symmetry_deviation(broken) and dev == pytest.approx(delta, rel=1e-12)
+    assert np.max(np.abs(broken - broken.transpose(perm))) == 0.0
+
+
+def test_symmetry_deviation_matches_whole_tensor_images(symmetry_block):
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 4, 5):
+        g = make_instance(n, seed=n)[0].g
+        for scale in (0.0, 1e-12, 1e-3):
+            noisy = g + scale * rng.standard_normal(g.shape)
+            assert check_two_electron_symmetry(noisy, tol=np.inf) == full_symmetry_deviation(noisy)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_symmetry_check_refuses_non_finite_anywhere(symmetry_block, bad):
+    for at in np.ndindex(4, 4, 4, 4):
+        g = np.zeros((4, 4, 4, 4))
+        g[at] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            check_two_electron_symmetry(g, tol=np.inf)
 
 
 def test_derive_one_body_rejects_non_finite(small_instance):
@@ -392,6 +446,84 @@ def test_parse_rejects_like_record_by_record_reader(tmp_path, bad, h21, after):
         reference_parse_fcidump(str(path))
     assert str(err.value) == str(ref.value)
     assert err.value.line_no == ref.value.line_no == 7
+
+
+def count_pieces(monkeypatch, size):
+    """Set the piece size to ``size`` characters; the returned list grows by one per stored batch."""
+    stored = []
+    store = fcidump._store
+
+    def counting_store(*args):
+        stored.append(len(args[-1]))
+        return store(*args)
+
+    monkeypatch.setattr(fcidump, "_READ_BLOCK", size)
+    monkeypatch.setattr(fcidump, "_store", counting_store)
+    return stored
+
+
+@pytest.mark.parametrize("size", [1, 150])  # one line, or three or four lines of write_fcidump's 44 characters
+def test_parse_reads_the_same_in_pieces_of_a_few_lines(tmp_path, monkeypatch, size):
+    stored = count_pieces(monkeypatch, size)
+    for path in sorted(glob.glob(os.path.join(DATA_DIR, "*.fcidump"))):
+        stored.clear()
+        assert_same_parse(path)
+        assert len(stored) > 1 and max(stored) <= 6
+    if size > 1:
+        recipe_chain_fcidump(tmp_path / "n20.fcidump", 20)
+        stored.clear()
+        assert_same_parse(str(tmp_path / "n20.fcidump"))
+        assert len(stored) > 5000
+
+
+def test_parse_keeps_the_last_record_across_pieces(tmp_path, monkeypatch):
+    """One symmetry class, e_nuc and an orbital energy set in every piece; D exponents and odd breaks later on."""
+    stored = count_pieces(monkeypatch, 20)  # two lines a piece
+    header = [" &FCI NORB=3,NELEC=2,MS2=0,", " &END"]
+    pieces = []
+    for at, image in enumerate([(1, 2, 3, 3), (2, 1, 3, 3), (3, 3, 1, 2), (3, 3, 2, 1)]):
+        pieces += [f" {0.5 + at:.3f} {' '.join(map(str, image))}", f" {0.25 * at:.3f} 0 0 0 0",
+                   f" {-at:.2f} 2 0 0 0", f" {0.125 * at:.3f} 3 1 0 0"]
+    later = [" 1.25D0 3 3 2 1", "\v 2.5d-1 0 0 0 0\f", " 7.5D-1 2 0 0 0\u2028 3.0 1 2 0 0", " -1.0D+1 1 3 0 0"]
+    path = tmp_path / "pieces.fcidump"
+    path.write_bytes("\n".join(header + pieces + later).encode())
+    assert_same_parse(str(path))
+    assert stored == [2] * 10 + [1]  # every piece read at once, none by the line reader
+    g, h, e_nuc, meta = hf.parse_fcidump(str(path))
+    assert g.g[0, 1, 2, 2] == g.g[2, 2, 1, 0] == 1.25
+    assert e_nuc == 0.25 and meta["orbital_energies"] == {2: 0.75}
+    assert h[0, 2] == h[2, 0] == -10.0 and h[0, 1] == h[1, 0] == 3.0
+
+
+def test_bad_record_in_a_later_piece_names_its_line(tmp_path, monkeypatch):
+    stored = count_pieces(monkeypatch, 50)
+    lines = [" &FCI NORB=2,NELEC=2,MS2=0,", " &END"] + [f" {0.1 * at:.1f} 1 1 1 1" for at in range(30)]
+    lines[25] = " 0.5 1 1 1 3"
+    path = tmp_path / "bad.fcidump"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FcidumpParseError) as err:
+        hf.parse_fcidump(str(path))
+    with pytest.raises(FcidumpParseError) as ref:
+        reference_parse_fcidump(str(path))
+    assert str(err.value) == str(ref.value) == "line 26: index l=3 outside [0, NORB=2]"
+    assert err.value.line_no == 26
+    assert stored == [4] * 5  # the pieces before the bad one were read and stored
+
+
+def test_parse_memory_is_the_tensor_and_the_file_text(tmp_path):
+    import tracemalloc
+
+    path = str(tmp_path / "n30.fcidump")
+    recipe_chain_fcidump(path, 30)
+    g = hf.parse_fcidump(path)[0]
+    tracemalloc.start()
+    try:
+        hf.parse_fcidump(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the tensor (6.5 MB), the file text (4.8 MB) and one piece of it: 1.8x the tensor
+    assert peak <= 3 * g.g.nbytes
 
 
 def test_frobenius_error_raises_on_overflow(small_instance):

@@ -429,8 +429,10 @@ def test_spin_block_level_matches_whole_sector():
 
 
 def dense_and_lanczos(monkeypatch, block, k, garr, e_nuc, v0=None):
-    dense = block_ground_level(block, k, garr, e_nuc)
     with monkeypatch.context() as patch:
+        # chain_n07's 1225-state block is past DENSE_BLOCK_STATES; its dense side stays dense
+        patch.setattr(oracle, "DENSE_BLOCK_STATES", len(block.states))
+        dense = block_ground_level(block, k, garr, e_nuc)
         patch.setattr(oracle, "DENSE_BLOCK_STATES", 0)
         lanczos = block_ground_level(block, k, garr, e_nuc, v0=v0)
     return dense, lanczos
