@@ -120,15 +120,16 @@ def reconstruct_tensor(fact: DoubleFactorization | FullRankFactorization) -> Two
     if isinstance(fact, FullRankFactorization):
         return fact.reconstruct()
     n = fact.n_orbitals
-    g = np.zeros((n, n, n, n))
     if fact.n_leaves:
         m = fact.leaf_matrices()
         signs = np.asarray(fact.signs, dtype=float)
         vec = m.reshape(fact.n_leaves, n * n)
         g = ((vec * signs[:, None]).T @ vec).reshape(n, n, n, n)
+    else:
+        g = np.zeros((n, n, n, n))
     if fact.a2_prime != 0.0:
-        eye = np.eye(n)
-        g = g + fact.a2_prime * np.einsum("pq,rs->pqrs", eye, eye)
+        pp = np.arange(n) * (n + 1)  # the pairs (p, p) of the N² x N² matrix form
+        g.reshape(n * n, n * n)[np.ix_(pp, pp)] += fact.a2_prime
     return TwoElectronTensor(g)
 
 

@@ -15,6 +15,12 @@ its 8-fold symmetry images, ``v i j 0 0`` sets h[i,j] (symmetric), ``v i 0 0 0``
 is an orbital energy (kept in metadata only), and ``v 0 0 0 0`` is the nuclear
 repulsion energy. Records come in any order; of two that set the same
 symmetry class, the later wins.
+
+``parse_fcidump`` reads the records from the open file in pieces of whole
+lines and never holds the file's whole text. Each piece is read at once by
+``np.loadtxt`` and checked; a piece with a line they refuse is read alone,
+line by line, which names the first bad line. The parse peak is the tensor
+plus one piece.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import itertools
 import math
 import re
 from collections.abc import Iterator
+from typing import TextIO
 
 import numpy as np
 
@@ -67,11 +74,11 @@ def _supported(nonzero: np.ndarray) -> np.ndarray:
     )
 
 
-def _records_by_line(lines: list[str], start: int, norb: int) -> tuple[np.ndarray, np.ndarray]:
-    """The records, checked one line at a time; the first bad line raises FcidumpParseError."""
+def _records_by_line(lines: list[str], first: int, norb: int) -> tuple[np.ndarray, np.ndarray]:
+    """The records of ``lines`` (file lines ``first`` on), checked one by one; the first bad line raises FcidumpParseError."""
     values, indices = [], []
-    for idx in range(start, len(lines)):
-        stripped = lines[idx].strip()
+    for idx, line in enumerate(lines, first):
+        stripped = line.strip()
         if not stripped:
             continue
         parts = stripped.split()
@@ -94,79 +101,63 @@ def _records_by_line(lines: list[str], start: int, norb: int) -> tuple[np.ndarra
     return np.array(values, dtype=float), np.array(indices, dtype=np.int64).reshape(-1, 4)
 
 
-# line breaks of str.splitlines other than "\n", which np.loadtxt reads as
-# field separators; reading the file in text mode already turned "\r" into "\n"
-_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE_BREAK = re.compile("\r\n|[\n\r" + _OTHER_BREAKS + "]")
-# D/d exponents read as E/e, and every other line break as "\n"
-_LOADTXT_SPELLING = str.maketrans({"D": "E", "d": "e", **dict.fromkeys(_OTHER_BREAKS, "\n")})
+# D/d exponents read as E/e, and every line break of str.splitlines as "\n" (np.loadtxt
+# reads the others as field separators); text mode has already turned "\r" into "\n"
+_LOADTXT_SPELLING = str.maketrans({"D": "E", "d": "e", **dict.fromkeys("\v\f\x1c\x1d\x1e\x85\u2028\u2029", "\n")})
 
 
-def _pieces(text: str, offset: int) -> Iterator[str]:
-    """``text`` from ``offset`` in pieces of whole lines, each of at least _READ_BLOCK characters but the last."""
-    while offset < len(text):
-        brk = _LINE_BREAK.search(text, offset + _READ_BLOCK)
-        end = brk.end() if brk else len(text)
-        yield text[offset:end]
-        offset = end
+def _record_batches(fh: TextIO, head: str, first: int, norb: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(values, 1-based indices R x 4) of the integral records, piece by piece, in file order.
 
-
-def _record_batches(text: str, offset: int, start: int, norb: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(values, 1-based indices R x 4) of the integral records, batch by batch, in file order.
-
-    ``text`` holds the records from ``offset``, line ``start`` on. Each piece
-    of it is read and checked at once. The first piece with a line this does
-    not accept sends the whole body to ``_records_by_line``, which names the
-    first bad line or accepts a spelling only Python's number parsers know
-    (such as ``1_0``); its one batch repeats the records of the pieces before
-    it, so the last record of each class still comes last.
+    Each piece is ``head`` (left on the header's last line) or the next whole
+    lines of ``fh``, at least _READ_BLOCK characters, read at once; ``first``
+    is the line index of its first line. A piece with a line this does not
+    accept goes alone to ``_records_by_line``, which names the first bad line
+    or accepts a spelling only Python's number parsers know (such as ``1_0``).
     """
-    for piece in _pieces(text, offset):
-        if piece.isspace():
-            continue
-        try:
-            records = np.loadtxt(
-                io.StringIO(piece.translate(_LOADTXT_SPELLING)), dtype=_RECORD, comments=None, ndmin=1
-            )
-        except (ValueError, OverflowError):
-            break
-        values, index = records["value"], records["index"]
-        in_range = np.all((index >= 0) & (index <= norb))
-        if not (np.all(np.isfinite(values)) and in_range and np.all(_supported(index != 0))):
-            break
-        yield values, index
-    else:
-        return
-    yield _records_by_line(text.splitlines(), start, norb)
+    while piece := head + fh.read(_READ_BLOCK) + fh.readline():
+        head = ""
+        spelled = piece.translate(_LOADTXT_SPELLING)
+        if not spelled.isspace():
+            try:
+                records = np.loadtxt(io.StringIO(spelled), dtype=_RECORD, comments=None, ndmin=1)
+            except (ValueError, OverflowError):
+                accepted = False
+            else:
+                values, index = records["value"], records["index"]
+                in_range = np.all((index >= 0) & (index <= norb))
+                accepted = np.all(np.isfinite(values)) and in_range and np.all(_supported(index != 0))
+            yield (values, index) if accepted else _records_by_line(piece.splitlines(), first, norb)
+        first += spelled.count("\n")
 
 
-def _header(text: str) -> tuple[dict, int, int]:
-    """(header fields, line index of the first record line, its offset in ``text``).
+def _header(fh: TextIO) -> tuple[dict, int, str]:
+    """(header fields, line index of the first record line, the text after the header on its last line).
 
-    Lines are split as ``str.splitlines`` splits them, up to the line that
-    ends the namelist; the records after it are left to ``_records``.
+    Lines are numbered as ``str.splitlines`` splits the whole text, up to the
+    line that ends the namelist. That text is empty unless a line break other
+    than a newline follows the namelist's end.
     """
     header_lines = []
     in_header = False
-    idx = pos = 0
-    while pos < len(text):
-        brk = _LINE_BREAK.search(text, pos)
-        end, after = (brk.start(), brk.end()) if brk else (len(text), len(text))
-        stripped = text[pos:end].strip()
-        pos = after
-        idx += 1
-        if not in_header:
-            if not stripped:
-                continue
-            if not stripped.upper().startswith("&FCI"):
-                raise FcidumpParseError("expected '&FCI' namelist header", idx)
-            in_header = True
-            stripped = stripped[4:]
-        found = re.search(r"(&END|/)", stripped, flags=re.IGNORECASE)
-        if found:
-            header_lines.append(stripped[: found.start()])
-            return _parse_header(" ".join(header_lines)), idx, pos
-        header_lines.append(stripped)
+    idx = 0
+    while raw := fh.readline():
+        lines = raw.splitlines(keepends=True)
+        for at, line in enumerate(lines):
+            stripped = line.strip()
+            idx += 1
+            if not in_header:
+                if not stripped:
+                    continue
+                if not stripped.upper().startswith("&FCI"):
+                    raise FcidumpParseError("expected '&FCI' namelist header", idx)
+                in_header = True
+                stripped = stripped[4:]
+            found = re.search(r"(&END|/)", stripped, flags=re.IGNORECASE)
+            if found:
+                header_lines.append(stripped[: found.start()])
+                return _parse_header(" ".join(header_lines)), idx, "".join(lines[at + 1 :])
+            header_lines.append(stripped)
     raise FcidumpParseError("namelist header never terminated with &END or /", idx)
 
 
@@ -213,25 +204,23 @@ def parse_fcidump(path: str) -> tuple[TwoElectronTensor, np.ndarray, float, dict
     """
     try:
         with open(path, "r") as fh:
-            text = fh.read()
+            fields, data_start, head = _header(fh)
+            norb = fields.get("NORB")
+            if not isinstance(norb, int) or norb < 1:
+                raise FcidumpParseError("header is missing a valid NORB", data_start)
+            try:
+                g = np.zeros((norb, norb, norb, norb))
+            except (ValueError, MemoryError) as exc:
+                too_large = f"NORB={norb} is too large to allocate its two-electron tensor"
+                raise FcidumpParseError(too_large, data_start) from exc
+            h = np.zeros((norb, norb))
+            orbital_energies = {}
+            e_nuc = None
+            for values, index in _record_batches(fh, head, data_start, norb):
+                nuclear = _store(g, h, orbital_energies, values, index)
+                e_nuc = e_nuc if nuclear is None else nuclear
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
-
-    fields, data_start, offset = _header(text)
-    norb = fields.get("NORB")
-    if not isinstance(norb, int) or norb < 1:
-        raise FcidumpParseError("header is missing a valid NORB", data_start)
-
-    try:
-        g = np.zeros((norb, norb, norb, norb))
-    except (ValueError, MemoryError) as exc:
-        raise FcidumpParseError(f"NORB={norb} is too large to allocate its two-electron tensor", data_start) from exc
-    h = np.zeros((norb, norb))
-    orbital_energies = {}
-    e_nuc = None
-    for values, index in _record_batches(text, offset, data_start, norb):
-        nuclear = _store(g, h, orbital_energies, values, index)
-        e_nuc = e_nuc if nuclear is None else nuclear
     warnings = []
 
     if e_nuc is None:

@@ -22,7 +22,7 @@ import scipy.linalg
 from .errors import NumericalError, ValidationError
 
 SYMMETRY_TOL = 1e-10
-_SYMMETRY_BLOCK = 1 << 14  # entries of g compared at once by check_two_electron_symmetry
+_SYMMETRY_BLOCK = 1 << 14  # most entries of one slice of g in _slices
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -68,13 +68,20 @@ def _packing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
+def _slices(n: int) -> list[slice]:
+    """Slices p:p + step of an N⁴ tensor's first index: at most _SYMMETRY_BLOCK entries each, or one p.
+
+    The whole tensor is one slice up to N = 11, and each p its own from N = 21.
+    """
+    step = max(1, _SYMMETRY_BLOCK // max(n, 1) ** 3)
+    return [slice(p, p + step) for p in range(0, n, step)]
+
+
 def check_two_electron_symmetry(g: np.ndarray, tol: float = SYMMETRY_TOL) -> float:
     """Return the maximum deviation of g from its 8-fold symmetry images.
 
     The three generating permutations (pq|rs) → (qp|rs), (pq|sr), (rs|pq) are
-    compared on slices g[p:p + step] of at most _SYMMETRY_BLOCK entries, or
-    of one first index p where N³ is larger, so no temporary grows as N⁴:
-    the whole tensor at once up to N = 11, one p at a time from N = 21.
+    compared on the slices of ``_slices``, so no temporary grows as N⁴.
     Raises ValidationError if g holds a non-finite entry (which every
     deviation test would let through, since max(0.0, nan) is 0.0) or if the
     deviation exceeds ``tol``.
@@ -82,18 +89,12 @@ def check_two_electron_symmetry(g: np.ndarray, tol: float = SYMMETRY_TOL) -> flo
     g = np.asarray(g, dtype=float)
     if g.ndim != 4 or len(set(g.shape)) != 1:
         raise ValidationError(f"two-electron tensor must be N^4, got shape {g.shape}")
-    n = g.shape[0]
-    step = max(1, _SYMMETRY_BLOCK // max(n, 1) ** 3)
     dev = 0.0
-    for p in range(0, n, step):
-        gp = g[p : p + step]
+    for p in _slices(g.shape[0]):
+        gp = g[p]
         if not np.all(np.isfinite(gp)):
             raise ValidationError("two-electron tensor has non-finite entries")
-        for image in (
-            g[:, p : p + step].transpose(1, 0, 2, 3),
-            gp.transpose(0, 1, 3, 2),
-            g[:, :, p : p + step].transpose(2, 3, 0, 1),
-        ):
+        for image in (g[:, p].transpose(1, 0, 2, 3), gp.transpose(0, 1, 3, 2), g[:, :, p].transpose(2, 3, 0, 1)):
             dev = max(dev, float(np.max(np.abs(gp - image))))
     if dev > tol:
         raise ValidationError(
@@ -233,10 +234,14 @@ def synthesize_instance(spec: SyntheticSpec) -> tuple[TwoElectronTensor, list[np
 
 
 def frobenius_error(a: TwoElectronTensor | np.ndarray, b: TwoElectronTensor | np.ndarray) -> float:
-    """||a − b||_F; NumericalError if it overflows."""
+    """||a − b||_F, summed over the slices of ``_slices``; NumericalError if it overflows."""
     ga = a.g if isinstance(a, TwoElectronTensor) else np.asarray(a)
     gb = b.g if isinstance(b, TwoElectronTensor) else np.asarray(b)
-    error = float(np.linalg.norm(ga - gb))
+    squares = 0.0  # one slice sums as np.linalg.norm does
+    for p in _slices(len(ga)):
+        diff = (ga[p] - gb[p]).ravel()
+        squares += diff.dot(diff)
+    error = float(np.sqrt(squares))
     if not np.isfinite(error):
         raise NumericalError(f"Frobenius error is {error}; the tensors' difference overflows")
     return error

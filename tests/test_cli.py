@@ -556,6 +556,9 @@ def _write_integrals(dump, path, values, norb=None):
         (["sweep", "{dump}", "--method", "xdf", "--output", "{missing}"], 2, "write-output"),
         (["synth", "{missing}", "--orbitals", "3", "--components", "3"], 2, "write-output"),
         (["factorize", "{binary}", "--method", "xdf"], 2, "read-input"),
+        # bad UTF-8 bytes found while the header or a later piece is read
+        (["factorize", "{header_bad_bytes}", "--method", "xdf"], 2, "read-input"),
+        (["factorize", "{late_bad_bytes}", "--method", "xdf"], 2, "read-input"),
         (["resources", "{huge_w}"], 3, "resources"),
         (["verify", "{huge_w}", "{dump}"], 2, "verify"),
         (["resources", "{huge_alpha}"], 3, "resources"),
@@ -609,7 +612,8 @@ def _write_integrals(dump, path, values, norb=None):
         (["factorize", "{one_body_only}", "--method", "rcdf"], 2, "factorize"),
     ],
     ids=[
-        "resources_output", "verify_output", "sweep_output", "synth_output", "non_utf8_fcidump",
+        "resources_output", "verify_output", "sweep_output", "synth_output",
+        "non_utf8_fcidump", "non_utf8_header", "non_utf8_late_piece",
         "huge_w_resources", "huge_w_verify", "huge_alpha_resources", "huge_alpha_verify_fci",
         "ndf_abc", "kr_3", "kr_x", "eps_0", "synth_orbitals_0",
         "f_overflow", "eigs_overflow", "first_eigh_fails", "second_eigh_fails", "one_body_eigh_fails",
@@ -627,11 +631,14 @@ def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_re
     paths = {"dump": dump, "record": record, "tmp": tmp_path, "missing": tmp_path / "missing" / "x"}
     paths["n11_dump"], paths["n11_record"] = n11_record
     paths.update({name: tmp_path / f"{name}.input" for name in (
-        "binary", "huge_w", "huge_alpha", "f_overflow", "eigs_overflow",
+        "binary", "header_bad_bytes", "late_bad_bytes", "huge_w", "huge_alpha", "f_overflow", "eigs_overflow",
         "first_eigh_fails", "second_eigh_fails", "one_body_eigh_fails", "huge_g", "huge_shifted_w", "huge_core",
         "huge_norb", "one_body_only",
     )})
     paths["binary"].write_bytes(b"\xff\xfe garbage\n")
+    paths["header_bad_bytes"].write_bytes(b" &FCI NORB=2,NELEC=2,\xff\n MS2=0,\n &END\n 0.5 1 1 1 1\n")
+    # past the first 64 Ki characters the reader takes from the file
+    paths["late_bad_bytes"].write_bytes(dump.read_bytes() + b" 0.5 1 1 1 1\n" * 8000 + b"\xff 0.1 0 0 0 0\n")
     paths["huge_norb"].write_text(" &FCI NORB=100000,NELEC=2,MS2=0,\n &END\n 0.5 1 1 1 1\n 0.7 0 0 0 0\n")
     hf.write_fcidump(str(paths["one_body_only"]), hf.TwoElectronTensor(np.zeros((2,) * 4)), np.diag([-1.0, -0.5]), 0.7, 2)
     _write_record(record, paths["huge_w"], _huge_w)
@@ -652,6 +659,8 @@ def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_re
         assert "213444 states" in err
     if argv[0] == "factorize" and "{huge_g}" in argv:
         assert "cost became non-finite" in err
+    if argv[1] in ("{binary}", "{header_bad_bytes}", "{late_bad_bytes}"):
+        assert "cannot read" in err
     if "{huge_norb}" in argv:
         assert "NORB=100000" in err
     if "1000000000000000000" in argv:

@@ -510,7 +510,60 @@ def test_bad_record_in_a_later_piece_names_its_line(tmp_path, monkeypatch):
     assert stored == [4] * 5  # the pieces before the bad one were read and stored
 
 
-def test_parse_memory_is_the_tensor_and_the_file_text(tmp_path):
+@pytest.mark.parametrize("sep", ["\v", "\u2028"])
+def test_parse_reads_records_on_the_header_line(tmp_path, sep):
+    """With no "\n" in the file, every record sits on the header's last raw line."""
+    lines = open(os.path.join(DATA_DIR, "chain_n06.fcidump")).read().splitlines()
+    path = tmp_path / "one_line.fcidump"
+    path.write_bytes(sep.join(lines).encode())
+    assert_same_parse(str(path))
+    lines[20] = " 0.5 1 1 7 1"
+    path.write_bytes(sep.join(lines).encode())
+    with pytest.raises(FcidumpParseError) as err:
+        hf.parse_fcidump(str(path))
+    with pytest.raises(FcidumpParseError) as ref:
+        reference_parse_fcidump(str(path))
+    assert str(err.value) == str(ref.value)
+    assert err.value.line_no == ref.value.line_no == 21
+
+
+def test_bad_record_after_pieces_of_other_breaks_names_its_line(tmp_path, monkeypatch):
+    """Lines counted piece by piece agree with str.splitlines when earlier pieces hold \\v, \\f, \\x85 and \\u2028."""
+    stored = count_pieces(monkeypatch, 50)
+    records = [f" {0.1 * at:.1f} 1 1 1 1" for at in range(60)]
+    records[52] = " 0.5 1 1 1 3"
+    text = " &FCI NORB=2,NELEC=2,MS2=0,\n &END\n"
+    text += "".join(record + "\v\f\n\x85\u2028"[at % 5] for at, record in enumerate(records))
+    path = tmp_path / "bad.fcidump"
+    path.write_bytes(text.encode())
+    with pytest.raises(FcidumpParseError) as err:
+        hf.parse_fcidump(str(path))
+    with pytest.raises(FcidumpParseError) as ref:
+        reference_parse_fcidump(str(path))
+    assert str(err.value) == str(ref.value) == "line 55: index l=3 outside [0, NORB=2]"
+    assert stored == [8] + [5] * 8  # a piece is whole "\n" lines: the pieces before the bad one were stored
+
+
+def test_only_the_piece_with_a_python_spelling_is_read_by_line(tmp_path, monkeypatch):
+    stored = count_pieces(monkeypatch, 50)
+    by_line = []
+    records_by_line = fcidump._records_by_line
+
+    def counting_records_by_line(lines, first, norb):
+        by_line.append((len(lines), first))
+        return records_by_line(lines, first, norb)
+
+    monkeypatch.setattr(fcidump, "_records_by_line", counting_records_by_line)
+    records = [f" {0.1 * at:.1f} {1 + at % 2} 1 {1 + at % 3 // 2} 1" for at in range(40)]
+    records[21] = " 1_0 2 1 0 0"
+    path = tmp_path / "spelling.fcidump"
+    path.write_text("\n".join([" &FCI NORB=2,NELEC=2,MS2=0,", " &END"] + records + [" 0.7 0 0 0 0"]) + "\n")
+    assert_same_parse(str(path))
+    assert by_line == [(4, 22)]  # the sixth piece, file lines 23-26, holding record 21 on line 24
+    assert len(stored) == 11
+
+
+def test_parse_memory_is_the_tensor_and_one_piece(tmp_path):
     import tracemalloc
 
     path = str(tmp_path / "n30.fcidump")
@@ -522,8 +575,23 @@ def test_parse_memory_is_the_tensor_and_the_file_text(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the tensor (6.5 MB), the file text (4.8 MB) and one piece of it: 1.8x the tensor
-    assert peak <= 3 * g.g.nbytes
+    # the tensor (6.5 MB) and one piece of the file read from disk: 1.1x the tensor
+    assert peak <= 1.5 * g.g.nbytes
+
+
+def test_frobenius_error_memory_is_one_slice():
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((2,) + (30,) * 4)
+    tracemalloc.start()
+    try:
+        hf.frobenius_error(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one slice of the difference (one p: N³ entries), not a whole N⁴ difference
+    assert peak <= 0.25 * a.nbytes
 
 
 def test_frobenius_error_raises_on_overflow(small_instance):
