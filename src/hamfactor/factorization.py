@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .tensors import TwoElectronTensor
+from .tensors import TwoElectronTensor, _slices
 
 METHOD_TAGS = ("XDF", "CDF", "RCDF", "SCDF")
 
@@ -157,11 +157,15 @@ class FullRankFactorization:
         return len(self.rotations)
 
     def reconstruct(self) -> TwoElectronTensor:
+        """Σ_t C^t V^t C^tᵀ on g's N² x N² form, C^t = U^t ⊙ U^t, added in the row blocks of ``_slices``."""
         n = self.n_orbitals
         g = np.zeros((n, n, n, n))
+        rows = g.reshape(n * n, n * n)
         for u, v in zip(self.rotations, self.cores):
             c = np.einsum("pk,qk->pqk", u, u).reshape(n * n, n)
-            g += (c @ v @ c.T).reshape(n, n, n, n)
+            cv = c @ v
+            for p in _slices(n):
+                rows[p.start * n : p.stop * n] += cv[p.start * n : p.stop * n] @ c.T
         return TwoElectronTensor(g)
 
 

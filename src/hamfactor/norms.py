@@ -1,13 +1,14 @@
-"""Block-encoding 1-norms of factorized Hamiltonians.
+"""Block-encoding 1-norms of factorized Hamiltonians, over one stack of encoded cores.
 
-Two conventions are implemented:
+The encoded core of leaf t is V^t: sign·W ⊗ W − α·1 ⊗ 1 for a rank-1 leaf,
+the stored core for a full-rank one. Two conventions are implemented:
 
 * ``lambda_lcu``: the Pauli-LCU norm
-  Σ_k |f°_k − a1′| + ½ Σ_t Σ_kl |V^t_kl| − ¼ Σ_t Σ_k |V^t_kk|,
-  with V^t the encoded core of leaf t (shifts folded in).
+  Σ_k |f°_k − a1′| + ½ Σ_t Σ_kl |V^t_kl| − ¼ Σ_t Σ_k |V^t_kk|.
 * ``lambda_burg``: the squared-one-body-operator norm
-  Σ_k |f°_k − a1′| + ¼ Σ_t (Σ_k |W^t_k|)², extended to shifted leaves as
-  ¼ [(Σ_k |P^t_k|)² + (Σ_k |Q^t_k|)²] via the rank-2 split.
+  Σ_k |f°_k − a1′| + ¼ Σ_directions (Σ_k |v_k|)², with W the one direction
+  of an unshifted rank-1 leaf and every other core split by one batched
+  eigensolve (``_split``; ``shift.signed_split`` is it on one leaf).
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from .factorization import DoubleFactorization, FullRankFactorization
-from .shift import signed_split
 from .tensors import OneBodyTensors, _checked_eigh
 from .xdf import truncate_factors
+
+SPLIT_TOL = 1e-12
 
 
 def _f_eigs(one_body) -> np.ndarray:
@@ -31,21 +33,38 @@ def one_body_norm(one_body, a1_prime: float = 0.0) -> float:
     return float(np.sum(np.abs(_f_eigs(one_body) - a1_prime)))
 
 
-def _encoded_cores(fact: DoubleFactorization) -> list[np.ndarray]:
-    cores = []
-    for w, alpha, sign in zip(fact.factors, fact.shifts, fact.signs):
-        core = sign * np.outer(w, w)
-        if alpha != 0.0:
-            core = core - alpha * np.ones_like(core)
-        cores.append(core)
-    return cores
+def _rank1_cores(w: np.ndarray, signs, shifts) -> np.ndarray:
+    """Stacked encoded cores sign·W ⊗ W − α·1 ⊗ 1 from stacked W (T, N), signs and shifts (T,)."""
+    sign, alpha = (np.asarray(x, dtype=float)[:, None, None] for x in (signs, shifts))
+    return sign * (w[:, :, None] * w[:, None, :]) - alpha
+
+
+def _encoded_cores(fact: DoubleFactorization | FullRankFactorization) -> np.ndarray:
+    """(T, N, N) stack of the record's encoded cores, V^t or ``_rank1_cores``."""
+    n = fact.n_orbitals
+    if isinstance(fact, FullRankFactorization):
+        return np.array(fact.cores).reshape(-1, n, n)
+    return _rank1_cores(np.array(fact.factors).reshape(-1, n), fact.signs, fact.shifts)
+
+
+def _split(cores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split Σ_j σ_j v_j ⊗ v_j of each core of a (T, N, N) stack, by one batched eigh.
+
+    Returns the rows v_j = √|λ_j| e_j (K, N), σ_j = sign(λ_j) and each row's core, by core and
+    ascending λ; |λ| ≤ ``SPLIT_TOL`` · max(max|core|, 1) is roundoff and dropped.
+    """
+    sym = 0.5 * (cores + cores.transpose(0, 2, 1))
+    vals, vecs = _checked_eigh(sym, "encoded cores")
+    scale = np.maximum(np.abs(sym).max(axis=(1, 2), initial=0.0), 1.0)
+    core, j = np.nonzero(np.abs(vals) > SPLIT_TOL * scale[:, None])
+    lam = vals[core, j]
+    return np.sqrt(np.abs(lam))[:, None] * vecs[core, :, j], np.sign(lam).astype(int), core
 
 
 def two_body_lcu_norm(fact: DoubleFactorization | FullRankFactorization) -> float:
     """½ Σ_t Σ_kl |V^t_kl| − ¼ Σ_t Σ_k |V^t_kk| over encoded cores."""
-    cores = fact.cores if isinstance(fact, FullRankFactorization) else _encoded_cores(fact)
     total = 0.0
-    for v in cores:
+    for v in _encoded_cores(fact):
         total += 0.5 * float(np.sum(np.abs(v))) - 0.25 * float(np.sum(np.abs(np.diag(v))))
     return total
 
@@ -53,31 +72,21 @@ def two_body_lcu_norm(fact: DoubleFactorization | FullRankFactorization) -> floa
 def split_directions(fact: DoubleFactorization | FullRankFactorization) -> np.ndarray:
     """Every squared-one-body direction vector of the encoding, truncated.
 
-    Returns a (K, N) array with one direction per row, in leaf order. Rank-1
-    leaves contribute their split vectors (W, or the P/Q pair when shifted);
-    full-rank cores contribute one √|eigenvalue|-scaled eigenvector per kept
-    eigendirection. The per-direction nonzero counts are exactly the
-    rotation-angle records the data lookup stores.
+    Returns a (K, N) array with one direction per row, in leaf order: W of an
+    unshifted rank-1 leaf, the ``_split`` rows of every other encoded core.
+    The per-direction nonzero counts are exactly the rotation-angle records
+    the data lookup stores.
     """
-    delta, n = fact.thresholds.delta_df, fact.n_orbitals
     if isinstance(fact, FullRankFactorization):
-        if not fact.cores:
-            return np.zeros((0, n))
-        cores = np.stack(fact.cores)
-        vals, vecs = _checked_eigh(0.5 * (cores + cores.transpose(0, 2, 1)), "full-rank cores")
-        # row j of scaled[t] is √|λ_j| times eigenvector j of core t
-        rows = (np.sqrt(np.abs(vals))[:, :, None] * vecs.transpose(0, 2, 1)).reshape(-1, n)
-    elif not fact.factors:
-        return np.zeros((0, n))
+        rows = _split(_encoded_cores(fact))[0]
     else:
-        # an unshifted leaf's one direction is W itself
-        rows = np.stack(fact.factors)
-        if fact.n_alpha:
-            rows = np.concatenate([
-                rows[t : t + 1] if alpha == 0.0 else np.reshape([v for v, _ in signed_split(w, alpha, sign)], (-1, n))
-                for t, (w, alpha, sign) in enumerate(zip(fact.factors, fact.shifts, fact.signs))
-            ])
-    rows = truncate_factors(rows, delta, "component")
+        rows = np.array(fact.factors).reshape(-1, fact.n_orbitals)
+        shifted = np.array(fact.shifts) != 0.0
+        if shifted.any():
+            split, _, core = _split(_encoded_cores(fact)[shifted])
+            leaf = np.concatenate([np.flatnonzero(~shifted), np.flatnonzero(shifted)[core]])
+            rows = np.concatenate([rows[~shifted], split])[np.argsort(leaf, kind="stable")]
+    rows = truncate_factors(rows, fact.thresholds.delta_df, "component")
     return rows[np.any(rows, axis=1)]
 
 

@@ -17,6 +17,9 @@ candidate solves its matrix projected on that space; the eigenvalues of gp
 left out are far below the clamp that would zero them anyway, so the
 projection gives the whole eigensolve's leaves. Each candidate is then
 scored by exactly one ``norms.two_body_burg_norm`` call on its record.
+
+``signed_split`` and its P/Q view ``split_shifted_factor`` split one leaf's
+encoded core by the solve of ``norms``, which imports nothing from here.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from . import norms
 from .errors import InvalidShiftSplit, NumericalError, ValidationError
 from .factorization import DoubleFactorization
 from .tensors import TwoElectronTensor, _checked_eigh, _freeze, _packing
-from .xdf import EIG_CLAMP_TOL, _check_n_df, _leading_pairs, _signed_leaves, second_factorization, truncate_factors
+from .xdf import EIG_CLAMP_TOL, _check_n_df, _leading_pairs, _signed_leaves, second_factorization
 
-SPLIT_TOL = 1e-12
 SHIFT_SCAN_POINTS = 17
 SHIFT_POLISH_TOL = 1e-6
 # scan candidates closer than this, relative to the diagonal's largest
@@ -65,8 +68,6 @@ class ShiftedFactorPair:
 
     p: np.ndarray
     q: np.ndarray
-    xi: int
-    theta: int
 
     def __post_init__(self):
         object.__setattr__(self, "p", _freeze(self.p))
@@ -85,45 +86,27 @@ def one_body_shift(f_eigs: np.ndarray) -> tuple[float, float]:
     return a1p, float(np.sum(np.abs(f_eigs - a1p)))
 
 
-def _two_eigenpairs(w: np.ndarray, alpha: float) -> list[tuple[float, np.ndarray]]:
-    """Nonzero eigenpairs of W ⊗ W − α 1 ⊗ 1 (rank ≤ 2, spanned by {W, 1})."""
-    n = w.size
-    ones = np.ones(n)
-    m = np.outer(w, w) - alpha * np.outer(ones, ones)
-    scale = max(np.max(np.abs(m)), 1.0)
-    vals, vecs = _checked_eigh(m, "shifted leaf core")
-    pairs = []
-    for i in range(n):
-        if abs(vals[i]) > SPLIT_TOL * scale:
-            pairs.append((float(vals[i]), vecs[:, i]))
-    return pairs
-
-
 def signed_split(w: np.ndarray, alpha: float, sign: int = 1) -> list[tuple[np.ndarray, int]]:
     """General signed rank decomposition of sign * W ⊗ W − α 1 ⊗ 1.
 
     Returns [(v_j, σ_j), ...] with the core equal to Σ_j σ_j v_j ⊗ v_j.
-    Handles all sign/α combinations (at most two terms).
+    Handles all sign/α combinations (at most two terms): an unshifted leaf
+    keeps W, a shifted one is ``norms._split`` of its one encoded core.
     """
     w = np.asarray(w, dtype=float)
     if alpha == 0.0:
         return [(w.copy(), sign)] if np.any(w) else []
-    pairs = _two_eigenpairs(w, alpha * sign)
-    out = []
-    for lam, vec in pairs:
-        v = np.sqrt(abs(lam)) * vec
-        out.append((v, sign if lam > 0 else -sign))
-    return out
+    vecs, signs, _ = norms._split(norms._rank1_cores(w[None], [sign], [alpha]))
+    return list(zip(vecs, signs.tolist()))
 
 
-def split_shifted_factor(w: np.ndarray, alpha: float, delta_df: float = 0.0) -> ShiftedFactorPair:
+def split_shifted_factor(w: np.ndarray, alpha: float) -> ShiftedFactorPair:
     """Split W ⊗ W − α 1 ⊗ 1 into P ⊗ P − Q ⊗ Q.
 
     P and Q are the +1 and −1 directions of ``signed_split(w, alpha)``; for
     α = 0 this is P = W, Q = 0. Raises InvalidShiftSplit if the two nonzero
     eigenvalues share a sign (cannot happen for α > 0 with real W, guarded
-    anyway). ``delta_df`` truncates small components of P and Q; the
-    retained counts are recorded as (xi, theta).
+    anyway).
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -141,9 +124,7 @@ def split_shifted_factor(w: np.ndarray, alpha: float, delta_df: float = 0.0) -> 
             "expected at most one of each"
         )
     zero = np.zeros(w.size)
-    p = truncate_factors(pos[0] if pos else zero, delta_df, "component")
-    q = truncate_factors(neg[0] if neg else zero, delta_df, "component")
-    return ShiftedFactorPair(p=p, q=q, xi=int(np.count_nonzero(p)), theta=int(np.count_nonzero(q)))
+    return ShiftedFactorPair(p=pos[0] if pos else zero, q=neg[0] if neg else zero)
 
 
 def apply_alpha_threshold(fact: DoubleFactorization, delta_alpha: float) -> DoubleFactorization:
@@ -220,8 +201,6 @@ def global_two_body_shift(
     trace counts the scan's evaluations as that function's calls under this
     one.
     """
-    from .norms import two_body_burg_norm
-
     n = g.n_orbitals
     _check_n_df(n, n_df)
     i, j, _ = _packing(n)
@@ -251,7 +230,7 @@ def global_two_body_shift(
             if a2p == 0.0:
                 raise
             return np.inf
-        return two_body_burg_norm(fact)
+        return norms.two_body_burg_norm(fact)
 
     diag = np.einsum("pprr->pr", g.g).ravel()
     lo, hi = float(diag.min()), float(diag.max())

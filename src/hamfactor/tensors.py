@@ -238,9 +238,10 @@ def frobenius_error(a: TwoElectronTensor | np.ndarray, b: TwoElectronTensor | np
     ga = a.g if isinstance(a, TwoElectronTensor) else np.asarray(a)
     gb = b.g if isinstance(b, TwoElectronTensor) else np.asarray(b)
     squares = 0.0  # one slice sums as np.linalg.norm does
-    for p in _slices(len(ga)):
-        diff = (ga[p] - gb[p]).ravel()
-        squares += diff.dot(diff)
+    with np.errstate(over="ignore"):  # an overflow raises below
+        for p in _slices(len(ga)):
+            diff = (ga[p] - gb[p]).ravel()
+            squares += diff.dot(diff)
     error = float(np.sqrt(squares))
     if not np.isfinite(error):
         raise NumericalError(f"Frobenius error is {error}; the tensors' difference overflows")

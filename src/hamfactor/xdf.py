@@ -14,7 +14,7 @@ import logging
 
 import numpy as np
 
-from .errors import NonPSDTensor, ValidationError
+from .errors import NonPSDTensor, NumericalError, ValidationError
 from .factorization import DoubleFactorization, Thresholds
 from .tensors import TwoElectronTensor, _checked_eigh, _packing
 
@@ -207,6 +207,8 @@ def second_factorization(
         raise ValidationError(_LEAF_SHAPE) from exc
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValidationError(_LEAF_SHAPE)
+    if not np.isfinite(stack).all():  # ahead of the symmetry test, where inf − inf would be NaN
+        raise NumericalError("leaf matrices has non-finite entries")
     n = stack.shape[1]
     transposed = stack.transpose(0, 2, 1)
     if np.abs(stack - transposed).max() > 1e-8:

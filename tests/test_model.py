@@ -594,6 +594,29 @@ def test_frobenius_error_memory_is_one_slice():
     assert peak <= 0.25 * a.nbytes
 
 
+def test_full_rank_reconstruct_memory_is_the_tensor_and_one_block():
+    import tracemalloc
+
+    n = 30
+    rng = np.random.default_rng(3)
+    rotations = tuple(np.linalg.qr(a)[0] for a in rng.standard_normal((4, n, n)))
+    cores = tuple(a + a.T for a in rng.standard_normal((4, n, n)))
+    fact = hf.FullRankFactorization(n_orbitals=n, method_tag="CDF", rotations=rotations, cores=cores)
+    tracemalloc.start()
+    try:
+        g = fact.reconstruct().g
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # g and one row block of one leaf's C V Cᵀ, not a whole N⁴ term per leaf
+    assert peak <= 1.3 * g.nbytes
+    reference = np.zeros((n * n, n * n))
+    for u, v in zip(rotations, cores):
+        c = np.einsum("pk,qk->pqk", u, u).reshape(n * n, n)
+        reference += c @ v @ c.T
+    assert np.linalg.norm(g.reshape(n * n, n * n) - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
 def test_frobenius_error_raises_on_overflow(small_instance):
     g, _ = small_instance
     huge = np.zeros((4, 4, 4, 4))

@@ -122,14 +122,25 @@ def test_split_directions_rank1_counts(small_instance):
     assert len(directions) == fact.n_leaves
 
 
+def core_directions(core):
+    """One core's split by its own eigh: the √|λ|-scaled eigenvectors above the 1e-12 cut (the reference)."""
+    sym = 0.5 * (core + core.T)
+    vals, vecs = np.linalg.eigh(sym)
+    scale = max(np.max(np.abs(sym)), 1.0)
+    return [np.sqrt(abs(lam)) * vec for lam, vec in zip(vals, vecs.T) if abs(lam) > 1e-12 * scale]
+
+
+def kept(directions, delta_df):
+    out = [hf.truncate_factors(v, delta_df, "component") for v in directions]
+    return [v for v in out if np.any(v)]
+
+
 def per_leaf_directions(fact):
-    """Rank-1 split_directions one leaf and one signed_split vector at a time (the reference)."""
+    """Rank-1 split_directions one leaf at a time: W if unshifted, else its encoded core's split (the reference)."""
     out = []
     for w, alpha, sign in zip(fact.factors, fact.shifts, fact.signs):
-        for v, _sign in hf.signed_split(w, alpha, sign):
-            v = hf.truncate_factors(v, fact.thresholds.delta_df, "component")
-            if np.any(v):
-                out.append(v)
+        core = sign * np.outer(w, w) - alpha * np.ones((len(w), len(w)))
+        out += kept([w] if alpha == 0.0 else core_directions(core), fact.thresholds.delta_df)
     return out
 
 
@@ -157,15 +168,8 @@ def test_split_directions_mixed_shifts_match_per_leaf_reference(delta_df):
 
 
 def per_core_directions(fact):
-    """Full-rank split_directions one core and one eigenpair at a time (the reference)."""
-    out = []
-    for v in fact.cores:
-        vals, vecs = np.linalg.eigh(0.5 * (v + v.T))
-        for lam, vec in zip(vals, vecs.T):
-            scaled = hf.truncate_factors(np.sqrt(abs(lam)) * vec, fact.thresholds.delta_df, "component")
-            if np.any(scaled):
-                out.append(scaled)
-    return out
+    """Full-rank split_directions one core at a time (the reference)."""
+    return [v for core in fact.cores for v in kept(core_directions(core), fact.thresholds.delta_df)]
 
 
 def test_split_directions_full_rank(small_instance):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import hamfactor as hf
 from hamfactor import resources
 from hamfactor.errors import ValidationError
-from hamfactor.factorization import DoubleFactorization, Thresholds
+from hamfactor.factorization import DoubleFactorization, FullRankFactorization, Thresholds
 from hamfactor.resources import qrom_erasure_cost
 
 from conftest import make_instance, make_one_body
@@ -137,6 +137,19 @@ def test_angle_records_count_shifted_pairs(small_instance):
         thresholds=Thresholds(),
     )
     assert np.count_nonzero(hf.split_directions(dense)) == 4
+
+
+def test_rank_deficient_full_rank_core_counts_its_rank():
+    """A full-rank record's core V = w wᵀ has one direction; its roundoff eigenpairs are no angle records."""
+    u = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))[0]
+    w = np.array([0.9, -0.6, 0.45, 0.3, -0.2])
+    fact = FullRankFactorization(n_orbitals=5, method_tag="CDF", rotations=(u,), cores=(np.outer(w, w),))
+    directions = hf.split_directions(fact)
+    assert directions.shape == (1, 5)
+    assert np.allclose(np.abs(directions[0]), np.abs(w), rtol=0, atol=1e-12)
+    est = hf.estimate(fact, np.array([-1.2, -0.7, 0.1, 0.4, 0.9]))
+    assert est.breakdown["angle_records"] == 5
+    assert est.toffoli_total == 11459734
 
 
 def test_estimate_rejects_empty_encoding():
