@@ -12,8 +12,14 @@ von-Burg norm plateaus:
    iterations.
 
 Each rank-1 objective evaluation forms the residual Δ = g − Σ_t M^t ⊗ M^t
-(M^t = U^t diag(W^t) U^t^T) once and reads the cost and the W- or U-space
-gradient from it (``_scdf_objective``).
+(M^t = U^t diag(W^t) U^t^T) once, on the M = N(N+1)/2 pairs p ≤ q of
+``tensors._packing`` against g's packed matrix, and reads the cost and the W-
+or U-space gradient from it: the W-step builds its packed design once per
+step (``_w_objective``), a U-step evaluation packs M^t (``_u_objective``).
+For 8-fold symmetric g this is the N² x N² cost; a g asymmetric within
+``SYMMETRY_TOL`` moves it by terms of that order. The sums run in another
+order than on the N² x N² form, so scdf records and ``--trace`` rows moved at
+roundoff against the N² x N² version; cdf, rcdf, xdf and xdf-shift did not.
 
 The unconstrained variant keeps full symmetric cores V^t: its V-step is an
 exact linear least-squares solve (ridge-regularized for a quadratic penalty,
@@ -47,7 +53,7 @@ from scipy.linalg import expm, expm_frechet, logm  # noqa: F401
 from scipy.optimize import minimize
 
 from .errors import OptimizationError, ValidationError
-from .factorization import DoubleFactorization, FullRankFactorization, Thresholds, _leaf_matrices
+from .factorization import DoubleFactorization, FullRankFactorization, Thresholds
 from .norms import two_body_burg_norm
 from .shift import apply_alpha_threshold
 from .tensors import TwoElectronTensor, _packing
@@ -106,60 +112,60 @@ class OptimizerConfig:
 # cost and gradients, rank-1 cores
 
 
-def _scdf_objective(
-    gmat: np.ndarray, u: np.ndarray, w: np.ndarray, alpha: np.ndarray, rho: float
-) -> tuple[float, float, np.ndarray]:
-    """(cost, residual cost, Y) from one residual Δ = g − Σ_t M^t ⊗ M^t.
+def _penalty(v: np.ndarray, rho: float, gamma: int) -> float:
+    return rho * float(np.sum(np.abs(v) ** gamma)) if rho else 0.0
 
-    Y^t_pq = Σ_rs Δ_pqrs M^t_rs per leaf; both gradients follow from it
-    (``_grad_w``, ``_grad_u_rank1``).
-    """
+
+def _excess(w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    return w[:, :, None] * w[:, None, :] - alpha[:, None, None]
+
+
+def _packed_design(u: np.ndarray) -> np.ndarray:
+    """D^t[(pq), k] = w_pq U^t_pk U^t_qk on the pairs p ≤ q of ``_packing`` (w = √2 off the diagonal)."""
+    i, j, wp = _packing(u.shape[1])
+    return u[:, i, :] * u[:, j, :] * wp[:, None]
+
+
+def _rank1_residual(gp: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarray]:
+    """(½‖Δ‖², vec·Δ) for the packed residual Δ = g − Σ_t vec^t vec^t^T."""
+    delta = gp - vec.T @ vec
+    return 0.5 * float(np.sum(delta * delta)), vec @ delta
+
+
+def _w_objective(gp: np.ndarray, design: np.ndarray, w: np.ndarray, alpha: np.ndarray, rho: float) -> tuple[float, float, np.ndarray]:
+    """(cost, residual cost, ∂cost/∂W = −2 D^t^T Δ vec^t + penalty term) at vec^t = D^t W^t."""
+    residual, y = _rank1_residual(gp, (design @ w[:, :, None])[:, :, 0])
+    grad = -2.0 * (y[:, None, :] @ design)[:, 0, :]
+    excess = _excess(w, alpha)
+    if rho:
+        grad += 2.0 * rho * np.einsum("tkl,tl->tk", np.sign(excess), w)
+    return residual + _penalty(excess, rho, 1), residual, grad
+
+
+def _u_objective(gp: np.ndarray, u: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """(residual cost, ∂/∂U = −4 Y^t U^t diag(W^t)), Y^t_pq = (Δ vec^t)_(pq) / w_pq; U need not be orthogonal."""
     t, n, _ = u.shape
-    vec = _leaf_matrices(u, w).reshape(t, n * n)
-    delta = gmat - vec.T @ vec
-    residual = 0.5 * float(np.sum(delta * delta))
-    cost = residual
-    if rho:
-        products = w[:, :, None] * w[:, None, :]
-        cost += rho * float(np.sum(np.abs(products - alpha[:, None, None])))
-    return cost, residual, (vec @ delta).reshape(-1, n, n)
+    i, j, wp = _packing(n)
+    uw = u * w[:, None, :]
+    residual, y = _rank1_residual(gp, (uw @ u.transpose(0, 2, 1))[:, i, j] * wp)
+    ymat = np.empty((t, n, n))
+    ymat[:, i, j] = ymat[:, j, i] = y / wp
+    return residual, -4.0 * ymat @ uw
 
 
-def _grad_w(
-    u: np.ndarray, w: np.ndarray, alpha: np.ndarray, rho: float, y: np.ndarray
-) -> np.ndarray:
-    grad = -2.0 * np.einsum("tpq,tpk,tqk->tk", y, u, u)
-    if rho:
-        signs = np.sign(w[:, :, None] * w[:, None, :] - alpha[:, None, None])
-        grad += 2.0 * rho * np.einsum("tkl,tl->tk", signs, w)
-    return grad
-
-
-def _grad_u_rank1(u: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return -4.0 * (y @ u) * w[:, None, :]
-
-
-def cost_scdf(
-    g: TwoElectronTensor, u: np.ndarray, w: np.ndarray, alpha: np.ndarray, rho: float
-) -> float:
+def cost_scdf(g: TwoElectronTensor, u: np.ndarray, w: np.ndarray, alpha: np.ndarray, rho: float) -> float:
     """Rank-1 cost ½‖Δ‖²_F + ρ Σ_{t,k,l} |W^t_k W^t_l − α^t|."""
-    return _scdf_objective(g.as_matrix(), u, w, alpha, rho)[0]
+    return _w_objective(g.as_packed_matrix(), _packed_design(u), w, alpha, rho)[0]
 
 
-def grad_scdf_w(
-    g: TwoElectronTensor, u: np.ndarray, w: np.ndarray, alpha: np.ndarray, rho: float
-) -> np.ndarray:
-    """∂cost/∂W^t_k = −2 Σ_pq Y^t_pq U_pk U_qk + 2ρ Σ_l sgn(W_k W_l − α^t) W_l.
-
-    sign(0) := 0 is the subgradient choice at penalty kinks.
-    """
-    return _grad_w(u, w, alpha, rho, _scdf_objective(g.as_matrix(), u, w, alpha, rho)[2])
+def grad_scdf_w(g: TwoElectronTensor, u: np.ndarray, w: np.ndarray, alpha: np.ndarray, rho: float) -> np.ndarray:
+    """∂cost/∂W^t_k = −2 Σ_pq Y^t_pq U_pk U_qk + 2ρ Σ_l sgn(W_k W_l − α^t) W_l, with sign(0) := 0 at kinks."""
+    return _w_objective(g.as_packed_matrix(), _packed_design(u), w, alpha, rho)[2]
 
 
 def grad_scdf_u(g: TwoElectronTensor, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """∂(residual cost)/∂U^t_pk = −4 Σ_q Y^t_pq U_qk W_k (the penalty is U-free)."""
-    y = _scdf_objective(g.as_matrix(), u, w, np.zeros(len(w)), 0.0)[2]
-    return _grad_u_rank1(u, w, y)
+    return _u_objective(g.as_packed_matrix(), u, w)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +187,6 @@ def _side_by_side(blocks: np.ndarray) -> np.ndarray:
 def _cdf_residual(gmat: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Δ = g − Σ_t C^t V^t C^t^T as one GEMM over the stacked design blocks."""
     return gmat - _side_by_side(c @ v) @ _side_by_side(c).T
-
-
-def _penalty(v: np.ndarray, rho: float, gamma: int) -> float:
-    return rho * float(np.sum(np.abs(v) ** gamma)) if rho else 0.0
 
 
 def _cdf_objective(
@@ -353,9 +355,7 @@ def _median_alpha(w: np.ndarray) -> np.ndarray:
     The median minimizes Σ_kl |W_k W_l − α| over scalar α, so this is the
     exact solution of the penalty-only subproblem.
     """
-    t, n = w.shape
-    products = (w[:, :, None] * w[:, None, :]).reshape(t, n * n)
-    return np.median(products, axis=1)
+    return np.median(_excess(w, np.zeros(len(w))).reshape(len(w), -1), axis=1)
 
 
 def _scdf_record(
@@ -439,30 +439,32 @@ def optimize_scdf(
     """
     if n_df < 1:
         raise ValidationError("n_df must be >= 1")
-    n = g.n_orbitals
-    gmat = g.as_matrix()
+    gp = g.as_packed_matrix()
     u, w = _init_state(g, n_df, config)
     alpha = np.zeros(n_df)
     rho = config.rho
+    design = _packed_design(u)  # U is fixed through a W-step
 
     def w_objective(wflat: np.ndarray):
-        wmat = wflat.reshape(n_df, n)
-        cost, _, y = _scdf_objective(gmat, u, wmat, alpha, rho)
-        return cost, _grad_w(u, wmat, alpha, rho, y).ravel()
+        cost, _, grad = _w_objective(gp, design, wflat.reshape(n_df, -1), alpha, rho)
+        return cost, grad.ravel()
 
     def cost_and_grad_u(umat: np.ndarray):
-        cost, _, y = _scdf_objective(gmat, umat, w, alpha, rho)
-        return cost, _grad_u_rank1(umat, w, y)
+        residual, grad = _u_objective(gp, umat, w)
+        # the U-free penalty stays in the cost: L-BFGS-B's ftol test is relative to |f|
+        return residual + penalty, grad
 
     trace: list[TraceRow] = []
     prev_lambda = np.inf
     snapshot = (u, w, alpha)
     for outer in range(1, config.max_outer_iters + 1):
-        w = _lbfgs(w_objective, w.ravel()).reshape(n_df, n)
+        w = _lbfgs(w_objective, w.ravel()).reshape(n_df, -1)
         alpha = _median_alpha(w)
+        penalty = _penalty(_excess(w, alpha), rho, 1)
         u = _rotation_step(cost_and_grad_u, u, outer)
+        design = _packed_design(u)
 
-        cost, residual_cost, y = _scdf_objective(gmat, u, w, alpha, rho)
+        cost, residual_cost, grad_w = _w_objective(gp, design, w, alpha, rho)
         _check_finite(cost, outer)
         # the default thresholds keep δ_DF = 0: the norm of the untruncated iterate
         lam2 = two_body_burg_norm(_scdf_record(u, w, alpha))
@@ -474,7 +476,7 @@ def optimize_scdf(
             u, w, alpha = snapshot
             logger.debug("norm increased at outer %d; reverted", outer)
             break
-        grad_norm = float(np.max(np.abs(_grad_w(u, w, alpha, rho, y))))
+        grad_norm = float(np.max(np.abs(grad_w)))
         trace.append(TraceRow(outer, cost, residual_cost, cost - residual_cost, lam2, grad_norm))
         snapshot = (u, w, alpha)
         prev_lambda = lam2
@@ -499,18 +501,18 @@ def optimize_scdf(
     return apply_alpha_threshold(fact, config.delta_alpha), trace
 
 
-def _reduced_v_design(gpacked: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reduced_v_design(gpacked: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The V-step least squares restricted to symmetric cores and symmetric tensors.
 
     Rows are the isometric packing of 8-fold symmetric N⁴ tensors: pair rows
     p ≤ q weighted √2 off the diagonal, then the upper triangle of pair x
     pair, again weighted √2 off the diagonal. Columns are the orthonormal
     symmetric cores per leaf, k ≤ l, i.e. (C⊗C)(e_k e_l^T + e_l e_k^T)/√2 off
-    the diagonal. ``gpacked`` is g's packed matrix form, M x M with
-    M = N(N+1)/2. Returns (design, packed g), M(M+1)/2 x T·M, refused past
-    MAX_V_DESIGN_ENTRIES before anything is allocated.
+    the diagonal, C^t's pair rows from ``_packed_design``. ``gpacked`` is g's
+    packed matrix form, M x M with M = N(N+1)/2. Returns (design, packed g),
+    M(M+1)/2 x T·M, refused past MAX_V_DESIGN_ENTRIES before anything is allocated.
     """
-    t, _, n = c.shape
+    t, n, _ = u.shape
     m = n * (n + 1) // 2
     rows, cols = m * (m + 1) // 2, t * m
     if rows * cols > MAX_V_DESIGN_ENTRIES:
@@ -521,11 +523,9 @@ def _reduced_v_design(gpacked: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, n
     # one packing serves the orbital pairs (p, q) of the rows and the core
     # entries (k, l) of the columns
     i, j, w = _packing(n)
-    pair = i * n + j
-    pr, rs, w_rows = _packing(len(pair))
-    packed = c[:, pair, :] * w[:, None]
+    pr, rs, w_rows = _packing(len(i))
     design = np.empty((len(pr), t, len(i)))
-    for leaf, ct in enumerate(packed):
+    for leaf, ct in enumerate(_packed_design(u)):
         left, right = ct[pr], ct[rs]
         design[:, leaf] = left[:, i] * right[:, j] + left[:, j] * right[:, i]
     design *= 0.5 * w
@@ -558,9 +558,8 @@ def solve_v_step(
     full design's absolute cutoff.
     """
     t, n, _ = u.shape
-    gmat = g.as_matrix()
-    c = _design_blocks(u)
     if rho and gamma == 1:
+        gmat, c = g.as_matrix(), _design_blocks(u)
         if v0 is None:
             v0 = np.zeros((t, n, n))
 
@@ -572,7 +571,7 @@ def solve_v_step(
 
         out = _lbfgs(objective, v0.ravel()).reshape(t, n, n)
         return 0.5 * (out + out.transpose(0, 2, 1))
-    a, y = _reduced_v_design(g.as_packed_matrix(), c)
+    a, y = _reduced_v_design(g.as_packed_matrix(), u)
     if rho:
         sol = np.linalg.solve(a.T @ a + 2.0 * rho * np.eye(a.shape[1]), a.T @ y)
     else:

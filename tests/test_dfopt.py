@@ -12,7 +12,10 @@ from hamfactor.dfopt import (
     _expm_stack,
     _flat_to_x,
     _init_state,
+    _packed_design,
     _rotation_step,
+    _u_objective,
+    _w_objective,
     _x_to_flat,
     generator_from_rotation,
     grad_cdf_u,
@@ -95,6 +98,42 @@ def test_cost_matches_brute_force():
     fast = hf.cost_scdf(g, u, w, alpha, rho=1e-3)
     slow = brute_force_cost(g, u, w, alpha, rho=1e-3)
     assert fast == pytest.approx(slow, rel=1e-12)
+
+
+def full_form_rank1(g, u, w, alpha, rho):
+    """(cost, residual cost, ∂/∂W, ∂/∂U) transcribed on the N² x N² form: Δ, then Y = vec·Δ."""
+    n_df, n = w.shape
+    vec = np.stack([u[t] @ np.diag(w[t]) @ u[t].T for t in range(n_df)]).reshape(n_df, n * n)
+    delta = g.as_matrix() - vec.T @ vec
+    y = (vec @ delta).reshape(n_df, n, n)
+    residual = 0.5 * np.sum(delta**2)
+    excess = w[:, :, None] * w[:, None, :] - alpha[:, None, None]
+    grad_w = -2.0 * np.einsum("tpq,tpk,tqk->tk", y, u, u)
+    grad_w += 2.0 * rho * np.einsum("tkl,tl->tk", np.sign(excess), w)
+    grad_u = -4.0 * (y @ u) * w[:, None, :]
+    return residual + rho * np.sum(np.abs(excess)), residual, grad_w, grad_u
+
+
+@pytest.mark.parametrize("orthogonal", [True, False])
+@pytest.mark.parametrize("rho", [0.0, 1e-3])
+@pytest.mark.parametrize("n", [3, 5])
+def test_packed_rank1_kernels_match_full_form(n, rho, orthogonal):
+    """The W- and U-step kernels on the packed pair space against the N² x N² form, on and off UᵀU = I."""
+    g, _ = make_instance(n, seed=21)
+    u, _, w, alpha = random_point(g, 2 * n, seed=22)
+    if not orthogonal:
+        u = u + 0.2 * np.random.default_rng(23).standard_normal(u.shape)
+    cost, residual, grad_w, grad_u = full_form_rank1(g, u, w, alpha, rho)
+    gp = g.as_packed_matrix()
+
+    packed_cost, packed_residual, packed_grad_w = _w_objective(gp, _packed_design(u), w, alpha, rho)
+    assert packed_cost == pytest.approx(cost, rel=1e-12)
+    assert packed_residual == pytest.approx(residual, rel=1e-12)
+    assert rel_err(packed_grad_w, grad_w) < 1e-12
+
+    u_residual, packed_grad_u = _u_objective(gp, u, w)
+    assert u_residual == pytest.approx(residual, rel=1e-12)
+    assert rel_err(packed_grad_u, grad_u) < 1e-12
 
 
 @pytest.mark.parametrize("rho", [0.0, 1e-5, 1e-3])
