@@ -28,9 +28,12 @@ subgradient L-BFGS for an L1 penalty), the U-step is the same rotation step
 in symmetry-reduced coordinates (packed symmetric cores against packed
 8-fold symmetric tensors): an isometric restriction of the N⁴ x T·N²
 Kronecker design with the same solution and 1/10 (N = 7) to 1/16 (large N)
-of its entries. Each full-rank objective evaluation forms the residual
-Δ = g − Σ_t C^t V^t C^t^T once, as one GEMM over the stacked design blocks
-C^t, and reads the cost and either gradient from it with batched matmuls.
+of its entries. Both factor the smaller Gram matrix of that design once by
+Cholesky and refine the answer once (``_gram_solve``); the SVD least squares
+runs only where that factor cannot be trusted. Each full-rank objective
+evaluation forms the residual Δ = g − Σ_t C^t V^t C^t^T once, as one GEMM
+over the stacked design blocks C^t, and reads the cost and either gradient
+from it with batched matmuls.
 
 All gradients are analytic. The rotation step is the curvilinear search of
 Wen & Yin (Math. Program., 2013); on retractions see Absil, Mahony &
@@ -49,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 # expm_frechet is unused but stays bound: perfbench/tracer.py wraps it here by name
-from scipy.linalg import expm, expm_frechet, logm  # noqa: F401
+from scipy.linalg import cho_factor, cho_solve, expm, expm_frechet, logm  # noqa: F401
+from scipy.linalg.lapack import dpocon
 from scipy.optimize import minimize
 
 from .errors import OptimizationError, ValidationError
@@ -68,7 +72,9 @@ LBFGS_TOLERANCE = 1e-12
 LBFGS_MEMORY = 10
 # outer iterations the SCDF plateau rule looks back over
 PLATEAU_WINDOW = 5
-# entries (0.4 GB) of the exact V-step's design: N=14 at 4N leaves fits, N=15 does not
+# entries (0.4 GB) of the exact V-step's design: N=14 at 4N leaves fits, N=15 does not. The
+# Gram solve's peak is the design plus a Gram matrix no larger than it; the SVD fallback
+# (np.linalg.lstsq) copies the design into its workspace instead
 MAX_V_DESIGN_ENTRIES = 50_000_000
 
 
@@ -123,7 +129,10 @@ def _excess(w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 def _packed_design(u: np.ndarray) -> np.ndarray:
     """D^t[(pq), k] = w_pq U^t_pk U^t_qk on the pairs p ≤ q of ``_packing`` (w = √2 off the diagonal)."""
     i, j, wp = _packing(u.shape[1])
-    return u[:, i, :] * u[:, j, :] * wp[:, None]
+    design = u[:, i, :]
+    design *= u[:, j, :]
+    design *= wp[:, None]
+    return design
 
 
 def _rank1_residual(gp: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarray]:
@@ -533,6 +542,40 @@ def _reduced_v_design(gpacked: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, n
     return design.reshape(len(pr), -1), gpacked[pr, rs] * w_rows
 
 
+def _gram_solve(a: np.ndarray, y: np.ndarray, shift: float) -> np.ndarray | None:
+    """argmin ‖Ax − y‖² + shift·‖x‖² (minimum-norm at shift = 0) from one Cholesky factor of the smaller Gram matrix.
+
+    A wide design (rows ≤ columns) solves the seminormal equations
+    (AA^T + shift·I) z = y, x = A^T z; a tall one (A^T A + shift·I) x = A^T y.
+    One step of iterative refinement on the same factor follows, which gives
+    back the accuracy of an orthogonal solve while cond(A)²·eps ≪ 1 (Björck,
+    Numerical Methods for Least Squares Problems, 1996, on the corrected
+    seminormal equations). Returns None where the factor cannot be trusted: a
+    tall design at shift = 0, a Gram matrix Cholesky rejects, or one whose
+    LAPACK ``pocon`` reciprocal condition estimate is at or below √eps.
+    """
+    rows, cols = a.shape
+    wide = rows <= cols
+    if not (wide or shift):
+        return None
+    gram = a @ a.T if wide else a.T @ a
+    gram[np.diag_indices_from(gram)] += shift
+    norm1 = np.linalg.norm(gram, 1)
+    try:
+        factor = cho_factor(gram, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    # written so that NaN fails the check
+    if not dpocon(factor[0], norm1)[0] > np.sqrt(np.finfo(float).eps):
+        return None
+    if wide:
+        z = cho_solve(factor, y, check_finite=False)
+        x = a.T @ z
+        return x + a.T @ cho_solve(factor, y - a @ x - shift * z, check_finite=False)
+    x = cho_solve(factor, a.T @ y, check_finite=False)
+    return x + cho_solve(factor, a.T @ (y - a @ x) - shift * x, check_finite=False)
+
+
 def solve_v_step(
     g: TwoElectronTensor,
     u: np.ndarray,
@@ -543,7 +586,7 @@ def solve_v_step(
     """Optimal symmetric cores V^t at fixed rotations.
 
     ρ = 0: exact least squares (minimum-norm when underdetermined).
-    ρ > 0, γ = 2: ridge normal equations.
+    ρ > 0, γ = 2: ridge, argmin ½‖Ax − y‖² + ρ‖x‖².
     ρ > 0, γ = 1: subgradient L-BFGS started from v0.
 
     The two exact solves work in the symmetry-reduced coordinates of
@@ -552,10 +595,22 @@ def solve_v_step(
     subspace and antisymmetric ones into its orthogonal complement, where g
     has no component, so the minimum-norm (and the ridge) solution has no
     antisymmetric part: both packings are isometries, and the reduced least
-    squares, minimum norm and ridge problems are the full ones. The largest
-    singular value lies in the symmetric block (Perron–Frobenius on the
-    nonnegative Gram matrix), so ``rcond`` = eps·max(N⁴, T·N²) keeps the
-    full design's absolute cutoff.
+    squares, minimum norm and ridge problems are the full ones.
+
+    Both exact solves go through ``_gram_solve``: one Cholesky factor of the
+    smaller of AA^T + 2ρI and A^T A + 2ρI, then one step of iterative
+    refinement on it. At ρ = 0 that is the row Gram of an underdetermined
+    design (rows ≤ columns, as on the bundled chains at 4N leaves), whose
+    minimum-norm solution is A^T (AA^T)⁻¹ y. The SVD (``np.linalg.lstsq``)
+    runs only where that factor cannot be trusted: an overdetermined design
+    at ρ = 0, whose column Gram is singular (every leaf's columns span
+    vec(I), so T − 1 directions are null); a Gram matrix Cholesky rejects; or
+    one whose LAPACK ``pocon`` reciprocal condition estimate is at or below
+    √eps, as for a row-deficient design. A ridge that falls back solves the
+    least squares of [A; √(2ρ) I] against [y; 0]. The ``rcond`` cutoff
+    governs the fallback only: the largest singular value lies in the
+    symmetric block (Perron–Frobenius on the nonnegative Gram matrix), so
+    ``rcond`` = eps·max(N⁴, T·N²) keeps the full design's absolute cutoff.
     """
     t, n, _ = u.shape
     if rho and gamma == 1:
@@ -572,9 +627,12 @@ def solve_v_step(
         out = _lbfgs(objective, v0.ravel()).reshape(t, n, n)
         return 0.5 * (out + out.transpose(0, 2, 1))
     a, y = _reduced_v_design(g.as_packed_matrix(), u)
-    if rho:
-        sol = np.linalg.solve(a.T @ a + 2.0 * rho * np.eye(a.shape[1]), a.T @ y)
-    else:
+    sol = _gram_solve(a, y, 2.0 * rho)
+    if sol is None:
+        if rho:
+            # the ridge is the least squares of [A; √(2ρ) I] against [y; 0]
+            y = np.concatenate([y, np.zeros(a.shape[1])])
+            a = np.vstack([a, np.sqrt(2.0 * rho) * np.eye(a.shape[1])])
         rcond = np.finfo(float).eps * max(n**4, t * n * n)
         sol, *_ = np.linalg.lstsq(a, y, rcond=rcond)
     k, l, w_core = _packing(n)

@@ -547,6 +547,15 @@ def _write_integrals(dump, path, values, norb=None):
     path.write_text("\n".join(lines) + "\n")
 
 
+# inputs whose refusal message the failure table pins, by path placeholder
+_READ_INPUT_MESSAGES = {
+    "missing_record": "cannot read factorization file",
+    "not_json": "is not valid JSON",
+    "no_fci": "expected '&FCI' namelist header",
+    "endless_header": "namelist header never terminated",
+}
+
+
 @no_runtime_warnings
 @pytest.mark.parametrize(
     "argv, code, stage",
@@ -610,6 +619,13 @@ def _write_integrals(dump, path, values, norb=None):
         (["factorize", "{one_body_only}", "--method", "scdf"], 2, "factorize"),
         (["factorize", "{one_body_only}", "--method", "cdf"], 2, "factorize"),
         (["factorize", "{one_body_only}", "--method", "rcdf"], 2, "factorize"),
+        # unreadable inputs, refused before any work (see _READ_INPUT_MESSAGES)
+        (["resources", "{missing_record}"], 2, "read-input"),
+        (["verify", "{missing_record}", "{dump}"], 2, "read-input"),
+        (["resources", "{not_json}"], 2, "read-input"),
+        (["verify", "{not_json}", "{dump}"], 2, "read-input"),
+        (["factorize", "{no_fci}", "--method", "xdf"], 2, "read-input"),
+        (["factorize", "{endless_header}", "--method", "xdf"], 2, "read-input"),
     ],
     ids=[
         "resources_output", "verify_output", "sweep_output", "synth_output",
@@ -624,22 +640,28 @@ def _write_integrals(dump, path, values, norb=None):
         "synth_coulomb_inf", "synth_nelec_negative", "huge_shifted_w_resources", "huge_core_resources",
         "norb_unallocatable", "scdf_ndf_unallocatable", "cdf_ndf_unallocatable",
         "one_body_only_xdf", "one_body_only_xdf_shift", "one_body_only_scdf", "one_body_only_cdf", "one_body_only_rcdf",
+        "missing_record_resources", "missing_record_verify", "not_json_resources", "not_json_verify",
+        "no_fci_header", "endless_header",
     ],
 )
 def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_record, argv, code, stage):
     dump, record = xdf_record
     paths = {"dump": dump, "record": record, "tmp": tmp_path, "missing": tmp_path / "missing" / "x"}
+    paths["missing_record"] = tmp_path / "missing.json"
     paths["n11_dump"], paths["n11_record"] = n11_record
     paths.update({name: tmp_path / f"{name}.input" for name in (
         "binary", "header_bad_bytes", "late_bad_bytes", "huge_w", "huge_alpha", "f_overflow", "eigs_overflow",
         "first_eigh_fails", "second_eigh_fails", "one_body_eigh_fails", "huge_g", "huge_shifted_w", "huge_core",
-        "huge_norb", "one_body_only",
+        "huge_norb", "one_body_only", "not_json", "no_fci", "endless_header",
     )})
     paths["binary"].write_bytes(b"\xff\xfe garbage\n")
     paths["header_bad_bytes"].write_bytes(b" &FCI NORB=2,NELEC=2,\xff\n MS2=0,\n &END\n 0.5 1 1 1 1\n")
     # past the first 64 Ki characters the reader takes from the file
     paths["late_bad_bytes"].write_bytes(dump.read_bytes() + b" 0.5 1 1 1 1\n" * 8000 + b"\xff 0.1 0 0 0 0\n")
     paths["huge_norb"].write_text(" &FCI NORB=100000,NELEC=2,MS2=0,\n &END\n 0.5 1 1 1 1\n 0.7 0 0 0 0\n")
+    paths["not_json"].write_text("not json {\n")
+    paths["no_fci"].write_text(" NORB=2,NELEC=2,MS2=0,\n &END\n 0.5 1 1 1 1\n")
+    paths["endless_header"].write_text(" &FCI NORB=2,NELEC=2,MS2=0,\n 0.5 1 1 1 1\n 0.7 0 0 0 0\n")
     hf.write_fcidump(str(paths["one_body_only"]), hf.TwoElectronTensor(np.zeros((2,) * 4)), np.diag([-1.0, -0.5]), 0.7, 2)
     _write_record(record, paths["huge_w"], _huge_w)
     _write_record(record, paths["huge_alpha"], _huge_alpha)
@@ -667,6 +689,9 @@ def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_re
         assert "n_df = 1000000000000000000" in err
     if "{one_body_only}" in argv:
         assert "nothing to factorize" in err
+    for name, message in _READ_INPUT_MESSAGES.items():
+        if "{" + name + "}" in argv:
+            assert message in err.splitlines()[-1]
     for flag, value in zip(argv, argv[1:]):
         if value in ("nan", "inf", "-1"):
             assert _FLAG_NAMES[flag] in err.splitlines()[-1]

@@ -455,6 +455,79 @@ def test_v_step_refuses_an_oversized_design_before_allocating():
     assert peak < 50e6
 
 
+def _spy_on_lstsq(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    return calls
+
+
+def test_cdf_on_chain_n07_runs_the_gram_solve_alone(monkeypatch):
+    # its seed design is 406 x 784 with full row rank: the Cholesky factor of
+    # the row Gram is trusted, so the SVD never runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    g, _, _, _ = hf.parse_fcidump(data_path("chain_n07.fcidump"))
+    fact, _ = hf.optimize_cdf(g, 4 * g.n_orbitals)
+    assert hf.frobenius_error(g, fact.reconstruct()) < 1e-9
+
+
+def _copies_of_one_rotation(n, t, seed):
+    """t copies of one random rotation, and its one leaf's design block C (N² x N)."""
+    u = np.repeat(_random_rotations(np.random.default_rng(seed), 1, n), t, axis=0)
+    return u, _reference_design(u[:1])[0]
+
+
+# 12 copies of one rotation at N = 5: a 120 x 180 design of row rank 15, so
+# its row Gram is singular. Each copy's columns are orthonormal, so the ridge
+# solution is one core C^T g C / (T + 2ρ) repeated on every copy.
+@pytest.mark.parametrize("rho, falls_back", [(0.0, True), (0.1, False)])
+def test_v_step_on_a_row_deficient_design(monkeypatch, rho, falls_back):
+    n, t = 5, 12
+    g, _ = make_instance(n, seed=45)
+    gmat = g.as_matrix()
+    u, c = _copies_of_one_rotation(n, t, seed=7)
+    calls = _spy_on_lstsq(monkeypatch)
+    v = hf.solve_v_step(g, u, rho=rho, gamma=2)
+    assert bool(calls) == falls_back
+    assert rel_err(v, np.repeat((c.T @ gmat @ c / (t + 2.0 * rho))[None], t, axis=0)) < 1e-12
+    assert rel_err(v, _reference_v_step(gmat, u, rho)) < 1e-12
+
+
+def test_v_step_ridge_falls_back_past_the_gram_condition_bound(monkeypatch):
+    # 2ρ = 1e-7 against σ_max² = 12 puts cond(AA^T + 2ρI) past 1/√eps; the
+    # least squares of [A; √(2ρ) I] then has condition ~1e4, so its answer
+    # is good to ~1e-11, not 1e-12. g = C V₀ C^T lies in the design's range.
+    n, t, rho = 5, 12, 5e-8
+    u, c = _copies_of_one_rotation(n, t, seed=7)
+    v0 = _random_cores(np.random.default_rng(8), 1, n)[0]
+    g = hf.TwoElectronTensor((c @ v0 @ c.T).reshape((n,) * 4))
+    calls = _spy_on_lstsq(monkeypatch)
+    v = hf.solve_v_step(g, u, rho=rho, gamma=2)
+    assert calls == [(120 + 180, 180)]
+    assert rel_err(v, np.repeat(v0[None] / (t + 2.0 * rho), t, axis=0)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.arange(15.0).reshape(5, 3),  # tall at shift 0: its column Gram is singular
+        np.zeros((2, 3)),  # Cholesky rejects the zero Gram
+        np.array([[1.0, 0.0, 0.0], [0.0, 1e-9, 0.0]]),  # cond(G) = 1e18: pocon rejects it
+    ],
+    ids=["tall", "cholesky_rejects", "ill_conditioned"],
+)
+def test_gram_solve_refuses_what_it_cannot_trust(a):
+    assert dfopt._gram_solve(a, np.ones(a.shape[0]), 0.0) is None
+
+
 def test_dfopt_binds_the_scipy_kernels_perfbench_traces():
     # perfbench/tracer.py wraps these dfopt attributes by name, so dropping one
     # of the imports breaks every traced benchmark run
