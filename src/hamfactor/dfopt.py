@@ -11,15 +11,15 @@ von-Burg norm plateaus:
 4. plateau check on the two-body norm over a sliding window of outer
    iterations.
 
-Each rank-1 objective evaluation forms the residual Δ = g − Σ_t M^t ⊗ M^t
-(M^t = U^t diag(W^t) U^t^T) once, on the M = N(N+1)/2 pairs p ≤ q of
-``tensors._packing`` against g's packed matrix, and reads the cost and the W-
-or U-space gradient from it: the W-step builds its packed design once per
-step (``_w_objective``), a U-step evaluation packs M^t (``_u_objective``).
-For 8-fold symmetric g this is the N² x N² cost; a g asymmetric within
-``SYMMETRY_TOL`` moves it by terms of that order. The sums run in another
-order than on the N² x N² form, so scdf records and ``--trace`` rows moved at
-roundoff against the N² x N² version; cdf, rcdf, xdf and xdf-shift did not.
+Both rank-1 inner steps evaluate one kernel, ``_rank1_objective``: it forms
+the residual Δ = g − Σ_t M^t ⊗ M^t (M^t = U^t diag(W^t) U^t^T) once, on the
+M = N(N+1)/2 pairs p ≤ q of ``tensors._packing`` against g's packed matrix,
+and returns the cost and Y·U, from which the W- and the U-space gradient both
+follow; no step builds a T x M x N design. For 8-fold symmetric g this is the
+N² x N² cost; a g asymmetric within ``SYMMETRY_TOL`` moves it by terms of that
+order. The sums run in another order than on the N² x N² form, so scdf records
+and ``--trace`` rows moved at roundoff against the N² x N² version; cdf, rcdf,
+xdf and xdf-shift did not.
 
 The unconstrained variant keeps full symmetric cores V^t: its V-step is an
 exact linear least-squares solve (ridge-regularized for a quadratic penalty,
@@ -61,7 +61,7 @@ from .factorization import DoubleFactorization, FullRankFactorization, Threshold
 from .norms import two_body_burg_norm
 from .shift import apply_alpha_threshold
 from .tensors import TwoElectronTensor, _packing
-from .xdf import _psd_leaves, second_factorization, truncate_factors
+from .xdf import _psd_leaves, _unpacking, second_factorization, truncate_factors
 
 logger = logging.getLogger(__name__)
 
@@ -126,55 +126,50 @@ def _excess(w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return w[:, :, None] * w[:, None, :] - alpha[:, None, None]
 
 
-def _packed_design(u: np.ndarray) -> np.ndarray:
-    """D^t[(pq), k] = w_pq U^t_pk U^t_qk on the pairs p ≤ q of ``_packing`` (w = √2 off the diagonal)."""
-    i, j, wp = _packing(u.shape[1])
-    design = u[:, i, :]
-    design *= u[:, j, :]
-    design *= wp[:, None]
-    return design
+def _rank1_objective(gp: np.ndarray, u: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """(½‖Δ‖², Y^t U^t) for the packed residual Δ = g − Σ_t vec^t vec^t^T; U need not be orthogonal.
 
-
-def _rank1_residual(gp: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarray]:
-    """(½‖Δ‖², vec·Δ) for the packed residual Δ = g − Σ_t vec^t vec^t^T."""
-    delta = gp - vec.T @ vec
-    return 0.5 * float(np.sum(delta * delta)), vec @ delta
-
-
-def _w_objective(gp: np.ndarray, design: np.ndarray, w: np.ndarray, alpha: np.ndarray, rho: float) -> tuple[float, float, np.ndarray]:
-    """(cost, residual cost, ∂cost/∂W = −2 D^t^T Δ vec^t + penalty term) at vec^t = D^t W^t."""
-    residual, y = _rank1_residual(gp, (design @ w[:, :, None])[:, :, 0])
-    grad = -2.0 * (y[:, None, :] @ design)[:, 0, :]
-    excess = _excess(w, alpha)
-    if rho:
-        grad += 2.0 * rho * np.einsum("tkl,tl->tk", np.sign(excess), w)
-    return residual + _penalty(excess, rho, 1), residual, grad
-
-
-def _u_objective(gp: np.ndarray, u: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """(residual cost, ∂/∂U = −4 Y^t U^t diag(W^t)), Y^t_pq = (Δ vec^t)_(pq) / w_pq; U need not be orthogonal."""
+    vec^t is M^t = U^t diag(W^t) U^t^T on the pairs p ≤ q (w_pq = √2 off the
+    diagonal), and Y^t_pq = (Δ vec^t)_(pq) / w_pq is unpacked to N x N by one
+    gather. ∂/∂W^t_k = −2 Σ_p (Y^t U^t)_pk U^t_pk and ∂/∂U^t = −4 Y^t U^t diag(W^t).
+    """
     t, n, _ = u.shape
     i, j, wp = _packing(n)
-    uw = u * w[:, None, :]
-    residual, y = _rank1_residual(gp, (uw @ u.transpose(0, 2, 1))[:, i, j] * wp)
-    ymat = np.empty((t, n, n))
-    ymat[:, i, j] = ymat[:, j, i] = y / wp
-    return residual, -4.0 * ymat @ uw
+    vec = ((u * w[:, None, :]) @ u.transpose(0, 2, 1)).reshape(t, -1)[:, i * n + j] * wp
+    delta = gp - vec.T @ vec
+    y = vec @ delta
+    y /= wp
+    return 0.5 * float(np.vdot(delta, delta)), y[:, _unpacking(n)].reshape(t, n, n) @ u
+
+
+def _scdf_cost_and_grad_w(
+    gp: np.ndarray, u: np.ndarray, w: np.ndarray, alpha: np.ndarray, rho: float
+) -> tuple[float, float, np.ndarray]:
+    """(cost, residual cost, ∂cost/∂W) with the penalty term 2ρ Σ_l sgn(W_k W_l − α^t) W_l."""
+    residual, yu = _rank1_objective(gp, u, w)
+    grad = -2.0 * np.einsum("tpk,tpk->tk", yu, u)
+    if not rho:
+        return residual, residual, grad
+    excess = _excess(w, alpha)
+    sign = np.sign(excess)
+    grad += 2.0 * rho * np.einsum("tkl,tl->tk", sign, w)
+    # Σ|e| as sign(e)·e: each product is exact
+    return residual + rho * float(np.vdot(sign, excess)), residual, grad
 
 
 def cost_scdf(g: TwoElectronTensor, u: np.ndarray, w: np.ndarray, alpha: np.ndarray, rho: float) -> float:
     """Rank-1 cost ½‖Δ‖²_F + ρ Σ_{t,k,l} |W^t_k W^t_l − α^t|."""
-    return _w_objective(g.as_packed_matrix(), _packed_design(u), w, alpha, rho)[0]
+    return _scdf_cost_and_grad_w(g.as_packed_matrix(), u, w, alpha, rho)[0]
 
 
 def grad_scdf_w(g: TwoElectronTensor, u: np.ndarray, w: np.ndarray, alpha: np.ndarray, rho: float) -> np.ndarray:
     """∂cost/∂W^t_k = −2 Σ_pq Y^t_pq U_pk U_qk + 2ρ Σ_l sgn(W_k W_l − α^t) W_l, with sign(0) := 0 at kinks."""
-    return _w_objective(g.as_packed_matrix(), _packed_design(u), w, alpha, rho)[2]
+    return _scdf_cost_and_grad_w(g.as_packed_matrix(), u, w, alpha, rho)[2]
 
 
 def grad_scdf_u(g: TwoElectronTensor, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """∂(residual cost)/∂U^t_pk = −4 Σ_q Y^t_pq U_qk W_k (the penalty is U-free)."""
-    return _u_objective(g.as_packed_matrix(), u, w)[1]
+    return -4.0 * _rank1_objective(g.as_packed_matrix(), u, w)[1] * w[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +447,15 @@ def optimize_scdf(
     u, w = _init_state(g, n_df, config)
     alpha = np.zeros(n_df)
     rho = config.rho
-    design = _packed_design(u)  # U is fixed through a W-step
 
     def w_objective(wflat: np.ndarray):
-        cost, _, grad = _w_objective(gp, design, wflat.reshape(n_df, -1), alpha, rho)
+        cost, _, grad = _scdf_cost_and_grad_w(gp, u, wflat.reshape(n_df, -1), alpha, rho)
         return cost, grad.ravel()
 
     def cost_and_grad_u(umat: np.ndarray):
-        residual, grad = _u_objective(gp, umat, w)
+        residual, yu = _rank1_objective(gp, umat, w)
         # the U-free penalty stays in the cost: L-BFGS-B's ftol test is relative to |f|
-        return residual + penalty, grad
+        return residual + penalty, -4.0 * yu * w[:, None, :]
 
     trace: list[TraceRow] = []
     prev_lambda = np.inf
@@ -471,9 +465,8 @@ def optimize_scdf(
         alpha = _median_alpha(w)
         penalty = _penalty(_excess(w, alpha), rho, 1)
         u = _rotation_step(cost_and_grad_u, u, outer)
-        design = _packed_design(u)
 
-        cost, residual_cost, grad_w = _w_objective(gp, design, w, alpha, rho)
+        cost, residual_cost, grad_w = _scdf_cost_and_grad_w(gp, u, w, alpha, rho)
         _check_finite(cost, outer)
         # the default thresholds keep δ_DF = 0: the norm of the untruncated iterate
         lam2 = two_body_burg_norm(_scdf_record(u, w, alpha))
@@ -501,9 +494,9 @@ def optimize_scdf(
                 break
 
     w_final = truncate_factors(w, config.delta_df, config.truncation_mode)
+    if not np.any(w_final):
+        raise ValidationError(f"every W was truncated away; lower delta_df (now {config.delta_df:g})")
     keep = [t for t in range(n_df) if np.any(w_final[t]) or abs(alpha[t]) >= config.delta_alpha]
-    if not keep:
-        raise OptimizationError("every leaf truncated away; lower delta_df", iteration=len(trace))
     fact = _scdf_record(
         u[keep], w_final[keep], alpha[keep], Thresholds(config.delta_df, config.delta_alpha, rho)
     )
@@ -517,7 +510,7 @@ def _reduced_v_design(gpacked: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, n
     p ≤ q weighted √2 off the diagonal, then the upper triangle of pair x
     pair, again weighted √2 off the diagonal. Columns are the orthonormal
     symmetric cores per leaf, k ≤ l, i.e. (C⊗C)(e_k e_l^T + e_l e_k^T)/√2 off
-    the diagonal, C^t's pair rows from ``_packed_design``. ``gpacked`` is g's
+    the diagonal, with C^t's pair rows w_pq U^t_pk U^t_qk. ``gpacked`` is g's
     packed matrix form, M x M with M = N(N+1)/2. Returns (design, packed g),
     M(M+1)/2 x T·M, refused past MAX_V_DESIGN_ENTRIES before anything is allocated.
     """
@@ -534,7 +527,7 @@ def _reduced_v_design(gpacked: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, n
     i, j, w = _packing(n)
     pr, rs, w_rows = _packing(len(i))
     design = np.empty((len(pr), t, len(i)))
-    for leaf, ct in enumerate(_packed_design(u)):
+    for leaf, ct in enumerate(u[:, i, :] * u[:, j, :] * w[:, None]):
         left, right = ct[pr], ct[rs]
         design[:, leaf] = left[:, i] * right[:, j] + left[:, j] * right[:, i]
     design *= 0.5 * w

@@ -547,6 +547,15 @@ def _write_integrals(dump, path, values, norb=None):
     path.write_text("\n".join(lines) + "\n")
 
 
+# flag values whose refusal message the failure table pins, by (flag, value)
+_FLAG_VALUE_MESSAGES = {
+    ("--delta-df", "1e3"): "truncated away; lower delta_df",
+    ("--ndf", "0"): "--ndf must be positive",
+    ("--ndf", "0N"): "--ndf must be positive",
+    ("--ndf", "-3"): "--ndf must be positive",
+}
+
+
 # inputs whose refusal message the failure table pins, by path placeholder
 _READ_INPUT_MESSAGES = {
     "missing_record": "cannot read factorization file",
@@ -626,6 +635,12 @@ _READ_INPUT_MESSAGES = {
         (["verify", "{not_json}", "{dump}"], 2, "read-input"),
         (["factorize", "{no_fci}", "--method", "xdf"], 2, "read-input"),
         (["factorize", "{endless_header}", "--method", "xdf"], 2, "read-input"),
+        # a δ_DF past every |W|, and leaf counts below one (see _FLAG_VALUE_MESSAGES)
+        (["factorize", "{dump}", "--method", "scdf", "--delta-df", "1e3", "--max-outer", "1"], 2, "factorize"),
+        (["factorize", "{dump}", "--method", "xdf", "--delta-df", "1e3"], 2, "factorize"),
+        (["factorize", "{dump}", "--method", "xdf", "--ndf", "0"], 2, "factorize"),
+        (["factorize", "{dump}", "--method", "xdf", "--ndf", "0N"], 2, "factorize"),
+        (["factorize", "{dump}", "--method", "xdf", "--ndf", "-3"], 2, "factorize"),
     ],
     ids=[
         "resources_output", "verify_output", "sweep_output", "synth_output",
@@ -642,6 +657,7 @@ _READ_INPUT_MESSAGES = {
         "one_body_only_xdf", "one_body_only_xdf_shift", "one_body_only_scdf", "one_body_only_cdf", "one_body_only_rcdf",
         "missing_record_resources", "missing_record_verify", "not_json_resources", "not_json_verify",
         "no_fci_header", "endless_header",
+        "scdf_delta_df_truncates_all", "xdf_delta_df_truncates_all", "ndf_0", "ndf_0N", "ndf_negative",
     ],
 )
 def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_record, argv, code, stage):
@@ -695,6 +711,8 @@ def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_re
     for flag, value in zip(argv, argv[1:]):
         if value in ("nan", "inf", "-1"):
             assert _FLAG_NAMES[flag] in err.splitlines()[-1]
+        if (flag, value) in _FLAG_VALUE_MESSAGES:
+            assert _FLAG_VALUE_MESSAGES[flag, value] in err.splitlines()[-1]
     if argv[0] == "synth":
         assert not os.path.exists(argv[1].format(**paths))
 

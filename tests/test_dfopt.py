@@ -12,15 +12,15 @@ from hamfactor.dfopt import (
     _expm_stack,
     _flat_to_x,
     _init_state,
-    _packed_design,
+    _rank1_objective,
     _rotation_step,
-    _u_objective,
-    _w_objective,
+    _scdf_cost_and_grad_w,
     _x_to_flat,
     generator_from_rotation,
     grad_cdf_u,
     grad_cdf_v,
     grad_scdf_u,
+    grad_scdf_w,
 )
 from hamfactor.errors import OptimizationError, ValidationError
 
@@ -126,14 +126,32 @@ def test_packed_rank1_kernels_match_full_form(n, rho, orthogonal):
     cost, residual, grad_w, grad_u = full_form_rank1(g, u, w, alpha, rho)
     gp = g.as_packed_matrix()
 
-    packed_cost, packed_residual, packed_grad_w = _w_objective(gp, _packed_design(u), w, alpha, rho)
+    packed_cost, packed_residual, packed_grad_w = _scdf_cost_and_grad_w(gp, u, w, alpha, rho)
     assert packed_cost == pytest.approx(cost, rel=1e-12)
     assert packed_residual == pytest.approx(residual, rel=1e-12)
     assert rel_err(packed_grad_w, grad_w) < 1e-12
 
-    u_residual, packed_grad_u = _u_objective(gp, u, w)
+    u_residual, yu = _rank1_objective(gp, u, w)
+    packed_grad_u = -4.0 * yu * w[:, None, :]
     assert u_residual == pytest.approx(residual, rel=1e-12)
     assert rel_err(packed_grad_u, grad_u) < 1e-12
+
+
+def test_grad_w_builds_no_packed_design():
+    """One ∇_W evaluation at N = 16, T = 4N peaks below the T x M x N design it once built (1.11 MB)."""
+    import tracemalloc
+
+    n, n_df = 16, 64
+    g, _ = make_instance(n, seed=24)
+    u, _, w, alpha = random_point(g, n_df, seed=25)
+    g.as_packed_matrix()  # cached on g, not part of the evaluation
+    tracemalloc.start()
+    try:
+        grad_scdf_w(g, u, w, alpha, 1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_df * (n * (n + 1) // 2) * n * 8
 
 
 @pytest.mark.parametrize("rho", [0.0, 1e-5, 1e-3])
@@ -563,3 +581,7 @@ def test_optimize_scdf_validates_inputs(small_instance):
         hf.OptimizerConfig(rho=-1.0)
     with pytest.raises(ValidationError):
         hf.OptimizerConfig(init_mode="guess")
+    with pytest.raises(ValidationError, match="gamma must be 1 or 2"):
+        hf.OptimizerConfig(gamma=3)
+    with pytest.raises(ValidationError, match="n_df must be >= 1"):
+        hf.optimize_cdf(g, 0)
