@@ -134,10 +134,8 @@ def _run_method(g, one_body, method: str, args):
         fact, trace = optimize_scdf(g, n_df, config)
         a1_prime, _ = one_body_shift(one_body.f_eigs)
         fact = fact.with_one_body_shift(a1_prime)
-    elif method in ("cdf", "rcdf"):
+    else:  # cdf or rcdf: argparse choices refuse every other method
         fact, trace = optimize_cdf(g, n_df, config)
-    else:
-        raise ValidationError(f"unknown method {method!r}")
     return fact, trace
 
 

@@ -17,9 +17,7 @@ M = N(N+1)/2 pairs p ≤ q of ``tensors._packing`` against g's packed matrix,
 and returns the cost and Y·U, from which the W- and the U-space gradient both
 follow; no step builds a T x M x N design. For 8-fold symmetric g this is the
 N² x N² cost; a g asymmetric within ``SYMMETRY_TOL`` moves it by terms of that
-order. The sums run in another order than on the N² x N² form, so scdf records
-and ``--trace`` rows moved at roundoff against the N² x N² version; cdf, rcdf,
-xdf and xdf-shift did not.
+order.
 
 The unconstrained variant keeps full symmetric cores V^t: its V-step is an
 exact linear least-squares solve (ridge-regularized for a quadratic penalty,
@@ -31,9 +29,10 @@ Kronecker design with the same solution and 1/10 (N = 7) to 1/16 (large N)
 of its entries. Both factor the smaller Gram matrix of that design once by
 Cholesky and refine the answer once (``_gram_solve``); the SVD least squares
 runs only where that factor cannot be trusted. Each full-rank objective
-evaluation forms the residual Δ = g − Σ_t C^t V^t C^t^T once, as one GEMM
-over the stacked design blocks C^t, and reads the cost and either gradient
-from it with batched matmuls.
+evaluation forms the residual Δ = g − Σ_t C^t V^t C^t^T once on the same
+packed pairs, as one GEMM over the stacked M x N design blocks C^t, and reads
+the cost and either gradient from it with batched matmuls. The N² x N² form
+is left only in the seed's eigendecomposition.
 
 All gradients are analytic. The rotation step is the curvilinear search of
 Wen & Yin (Math. Program., 2013); on retractions see Absil, Mahony &
@@ -41,8 +40,8 @@ Sepulchre (2008). With A = I − X/2 (never singular for antisymmetric X),
 C = cay(X) = A⁻¹(I + X/2) = 2A⁻¹ − I and dC = ½ A⁻¹ dX (I + C), so a U-space
 gradient G pulls back to M − M^T with M = ½ A⁻^T (U₀^T G)(I + C)^T =
 A⁻^T (U₀^T G) A⁻^T: one batched real inverse per evaluation gives U and its
-gradient. The exponential map appears only in ``_init_state``'s seed
-U₀ = expm(X₀); the optimizers see U₀ alone.
+gradient. Cayley is the only map from generators to rotations: the XDF seed
+hands its rotations over as U₀ unchanged, and a random seed is U₀ = cay(X₀).
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-# expm_frechet is unused but stays bound: perfbench/tracer.py wraps it here by name
-from scipy.linalg import cho_factor, cho_solve, expm, expm_frechet, logm  # noqa: F401
+# expm and expm_frechet are unused but stay bound: perfbench/tracer.py wraps both here by name
+from scipy.linalg import cho_factor, cho_solve, expm, expm_frechet  # noqa: F401
 from scipy.linalg.lapack import dpocon
 from scipy.optimize import minimize
 
@@ -60,8 +59,8 @@ from .errors import OptimizationError, ValidationError
 from .factorization import DoubleFactorization, FullRankFactorization, Thresholds
 from .norms import two_body_burg_norm
 from .shift import apply_alpha_threshold
-from .tensors import TwoElectronTensor, _packing
-from .xdf import _psd_leaves, _unpacking, second_factorization, truncate_factors
+from .tensors import TwoElectronTensor, _packing, _unpacking
+from .xdf import _psd_leaves, second_factorization, truncate_factors
 
 logger = logging.getLogger(__name__)
 
@@ -177,15 +176,15 @@ def grad_scdf_u(g: TwoElectronTensor, u: np.ndarray, w: np.ndarray) -> np.ndarra
 
 
 def _design_blocks(u: np.ndarray) -> np.ndarray:
-    """C^t[(pq), k] = U^t_pk U^t_qk for every leaf."""
-    t, n, _ = u.shape
-    return np.einsum("tpk,tqk->tpqk", u, u).reshape(t, n * n, n)
+    """C^t[(pq), k] = w_pq U^t_pk U^t_qk on the pairs p ≤ q of ``_packing``, for every leaf: (T, M, N)."""
+    i, j, w = _packing(u.shape[1])
+    return u[:, i, :] * u[:, j, :] * w[:, None]
 
 
 def _side_by_side(blocks: np.ndarray) -> np.ndarray:
-    """Stack (T, N², N) leaf blocks column-wise into one N² x T·N matrix."""
-    t, nn, n = blocks.shape
-    return blocks.transpose(1, 0, 2).reshape(nn, t * n)
+    """Stack (T, M, N) leaf blocks column-wise into one M x T·N matrix."""
+    t, m, n = blocks.shape
+    return blocks.transpose(1, 0, 2).reshape(m, t * n)
 
 
 def _cdf_residual(gmat: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -196,15 +195,18 @@ def _cdf_residual(gmat: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _cdf_objective(
     gmat: np.ndarray, c: np.ndarray, v: np.ndarray, rho: float, gamma: int
 ) -> tuple[float, float, np.ndarray]:
-    """(cost, residual cost, Y) from one residual Δ, with Y^t = Δ C^t per leaf.
+    """(cost, residual cost, Y) from one packed residual Δ, with Y^t = Δ C^t per leaf.
 
-    Both gradients follow from Y by batched matmuls: ∂/∂V^t = −C^t^T Y^t
-    (``_grad_v``) and ∂/∂U^t = −4 Σ_q [Y^t V^t^T]_(pq)k U^t_qk (``_grad_u``).
+    ``gmat`` is g's packed matrix. Every row and column of Δ is symmetric in
+    its pair, so the packing is an isometry on both and the cost is the
+    N² x N² one. Both gradients follow from Y by batched matmuls:
+    ∂/∂V^t = −C^t^T Y^t (``_grad_v``) and ∂/∂U^t = −4 Σ_q [Y^t V^t^T]_(pq)k U^t_qk
+    (``_grad_u``, which unpacks Y^t V^t^T to N² rows).
     """
-    t, nn, n = c.shape
+    t, m, n = c.shape
     delta = _cdf_residual(gmat, c, v)
     residual = 0.5 * float(np.sum(delta * delta))
-    y = (delta @ _side_by_side(c)).reshape(nn, t, n).transpose(1, 0, 2)
+    y = (delta @ _side_by_side(c)).reshape(m, t, n).transpose(1, 0, 2)
     return residual + _penalty(v, rho, gamma), residual, y
 
 
@@ -214,7 +216,9 @@ def _grad_v(c: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _grad_u(u: np.ndarray, v: np.ndarray, y: np.ndarray) -> np.ndarray:
     t, n, _ = u.shape
-    z = (y @ v.transpose(0, 2, 1)).reshape(t, n, n, n)
+    z = y @ v.transpose(0, 2, 1)
+    z /= _packing(n)[2][:, None]
+    z = z[:, _unpacking(n)].reshape(t, n, n, n)
     return -4.0 * np.einsum("tpqk,tqk->tpk", z, u)
 
 
@@ -234,19 +238,19 @@ def cost_cdf(
     gamma: int = 1,
 ) -> float:
     """Full-rank cost ½‖g − Σ_t C^t V^t C^t^T‖²_F + ρ Σ |V^t_kl|^γ."""
-    delta = _cdf_residual(g.as_matrix(), _design_blocks(u), v)
+    delta = _cdf_residual(g.as_packed_matrix(), _design_blocks(u), v)
     return 0.5 * float(np.sum(delta * delta)) + _penalty(v, rho, gamma)
 
 
 def grad_cdf_v(g: TwoElectronTensor, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """∂(residual cost)/∂V^t_kl = −[C^t^T Δ C^t]_kl."""
     c = _design_blocks(u)
-    return _grad_v(c, _cdf_objective(g.as_matrix(), c, v, 0.0, 1)[2])
+    return _grad_v(c, _cdf_objective(g.as_packed_matrix(), c, v, 0.0, 1)[2])
 
 
 def grad_cdf_u(g: TwoElectronTensor, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """∂(residual cost)/∂U^t_pk = −4 Σ_qrsl Δ_pqrs U_qk V_kl U_rl U_sl."""
-    return _cdf_cost_and_grad_u(g.as_matrix(), u, v, 0.0, 1)[1]
+    return _cdf_cost_and_grad_u(g.as_packed_matrix(), u, v, 0.0, 1)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +269,6 @@ def _flat_to_x(flat: np.ndarray, t: int, n: int, iu: tuple[np.ndarray, np.ndarra
     return x - x.transpose(0, 2, 1)
 
 
-def _expm_stack(x: np.ndarray) -> np.ndarray:
-    """expm(X^t) = Re(V diag(e^{iλ}) V^H) for real antisymmetric X^t, from one batched ``eigh`` of −iX = V diag(λ) V^H."""
-    lam, vecs = np.linalg.eigh(-1j * x)
-    return np.real((vecs * np.exp(1j * lam)[:, None, :]) @ vecs.conj().transpose(0, 2, 1))
-
-
 def _cayley(u0: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(U, A⁻¹) with U = U₀ cay(X) = U₀ (2A⁻¹ − I), A = I − X/2; U = U₀ exactly at X = 0."""
     eye = np.eye(x.shape[1])
@@ -283,25 +281,6 @@ def _cayley_pull_back(u0: np.ndarray, inv: np.ndarray, grad_u: np.ndarray) -> np
     inv_t = inv.transpose(0, 2, 1)
     m = inv_t @ (u0.transpose(0, 2, 1) @ grad_u) @ inv_t
     return m - m.transpose(0, 2, 1)
-
-
-def generator_from_rotation(u: np.ndarray) -> np.ndarray:
-    """Real antisymmetric X with expm(X) = U, for orthogonal U.
-
-    A negative determinant is fixed by flipping one column (the rank-1 core
-    W ⊗ W is insensitive to column signs). Falls back to zero when the log
-    is numerically unusable; callers treat X as an initializer only.
-    """
-    u = np.asarray(u, dtype=float)
-    if np.linalg.det(u) < 0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
-    x = logm(u)
-    x = 0.5 * (np.real(x) - np.real(x).T)
-    if np.max(np.abs(expm(x) - u)) > 1e-8:
-        logger.warning("matrix log failed to reproduce rotation; using identity init")
-        return np.zeros_like(u)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -381,34 +360,37 @@ def _scdf_record(
 def _init_state(
     g: TwoElectronTensor, n_df: int, config: OptimizerConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Initial (U₀, W) stacks for n_df leaves; U₀ = expm(X₀) is the one use of the exponential map."""
+    """Initial (U₀, W) stacks for n_df leaves.
+
+    ``from_xdf`` takes U₀ and W straight from the XDF seed's leaves; leaves
+    past the seed keep U₀ = I exactly. ``random`` draws U₀ = cay(X₀) for a
+    small random antisymmetric X₀, through the optimizers' own retraction.
+    """
     n = g.n_orbitals
-    gnorm = float(np.linalg.norm(g.as_matrix()))
+    gnorm = float(np.linalg.norm(g.g))
     scale = np.sqrt(gnorm / max(n_df * n, 1))
     try:
-        x, w = np.zeros((n_df, n, n)), np.zeros((n_df, n))
+        u, w = np.zeros((n_df, n, n)), np.zeros((n_df, n))
     except (ValueError, MemoryError) as exc:
         raise ValidationError(f"n_df = {n_df} leaves of {n} orbitals cannot be allocated") from exc
+    u[:] = np.eye(n)
     if config.init_mode == "random":
         rng = np.random.default_rng(config.rng_seed)
         x = _flat_to_x(0.1 * rng.standard_normal(n_df * n * (n - 1) // 2), n_df, n)
         w = scale * rng.standard_normal((n_df, n))
-        return _expm_stack(x), w
+        return _cayley(u, x)[0], w
     seed_leaves = min(n_df, n * n)
     # the seed keeps the N^2 x N^2 form: the optimizers amplify roundoff, so
     # a packed seed would move every iterate
     base = second_factorization(_psd_leaves(g.as_matrix(), n, seed_leaves))
-    # U₀ = expm(logm(U_xdf)) on purpose: the benchmark's rcdf quality amplifies any roundoff
-    # in U₀. The round trip goes with the rest of ROADMAP item 3(a) once item 1 lands.
-    for t in range(base.n_leaves):
-        x[t] = generator_from_rotation(base.rotations[t])
-        w[t] = base.factors[t]
+    u[: base.n_leaves] = base.rotations
+    w[: base.n_leaves] = base.factors
     if n_df > base.n_leaves:
         # extra leaves get a small random kick; exactly-zero W is a stationary
         # point the W-step can never leave
         rng = np.random.default_rng(config.rng_seed)
         w[base.n_leaves :] = 0.01 * scale * rng.standard_normal((n_df - base.n_leaves, n))
-    return _expm_stack(x), w
+    return u, w
 
 
 @dataclass
@@ -527,7 +509,7 @@ def _reduced_v_design(gpacked: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, n
     i, j, w = _packing(n)
     pr, rs, w_rows = _packing(len(i))
     design = np.empty((len(pr), t, len(i)))
-    for leaf, ct in enumerate(u[:, i, :] * u[:, j, :] * w[:, None]):
+    for leaf, ct in enumerate(_design_blocks(u)):
         left, right = ct[pr], ct[rs]
         design[:, leaf] = left[:, i] * right[:, j] + left[:, j] * right[:, i]
     design *= 0.5 * w
@@ -607,7 +589,7 @@ def solve_v_step(
     """
     t, n, _ = u.shape
     if rho and gamma == 1:
-        gmat, c = g.as_matrix(), _design_blocks(u)
+        gmat, c = g.as_packed_matrix(), _design_blocks(u)
         if v0 is None:
             v0 = np.zeros((t, n, n))
 
@@ -649,7 +631,7 @@ def optimize_cdf(
     if n_df < 1:
         raise ValidationError("n_df must be >= 1")
     n = g.n_orbitals
-    gmat = g.as_matrix()
+    gmat = g.as_packed_matrix()
     rho, gamma = config.rho, config.gamma
     u, w = _init_state(g, n_df, config)
     v = np.stack([np.outer(wt, wt) for wt in w])

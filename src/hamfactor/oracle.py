@@ -61,8 +61,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from .errors import NumericalError, ValidationError
 from .factorization import DoubleFactorization, reconstruct_tensor
 from .shift import shifted_tensor
-from .tensors import OneBodyTensors, TwoElectronTensor, _checked_eigh, _packing
-from .xdf import _unpacking
+from .tensors import OneBodyTensors, TwoElectronTensor, _checked_eigh, _packing, _unpacking
 
 MAX_QUBITS = 14
 MAX_FULL_SPACE_QUBITS = 12

@@ -68,6 +68,17 @@ def _packing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _unpacking(n: int) -> np.ndarray:
+    """For each (p, q) of an N x N matrix in row-major order, its ``_packing`` pair (min, max); read-only."""
+    i, j, _ = _packing(n)
+    at = np.empty((n, n), dtype=np.intp)
+    at[i, j] = at[j, i] = np.arange(len(i))
+    out = at.ravel()
+    out.flags.writeable = False
+    return out
+
+
 def _slices(n: int) -> list[slice]:
     """Slices p:p + step of an N⁴ tensor's first index: at most _SYMMETRY_BLOCK entries each, or one p.
 

@@ -9,14 +9,13 @@ rank-1 cores V^t = W^t ⊗ W^t.
 
 from __future__ import annotations
 
-import functools
 import logging
 
 import numpy as np
 
 from .errors import NonPSDTensor, NumericalError, ValidationError
 from .factorization import DoubleFactorization, Thresholds
-from .tensors import TwoElectronTensor, _checked_eigh, _packing
+from .tensors import TwoElectronTensor, _checked_eigh, _packing, _unpacking
 
 logger = logging.getLogger(__name__)
 
@@ -90,17 +89,6 @@ def _leading_pairs(vals: np.ndarray, vecs: np.ndarray, n: int, n_df: int) -> tup
     if pad > 0:
         vals, vecs = np.concatenate([vals, np.zeros(pad)]), np.hstack([vecs, np.zeros((len(vecs), pad))])
     return vals[:n_df], vecs[:, :n_df]
-
-
-@functools.lru_cache(maxsize=8)
-def _unpacking(n: int) -> np.ndarray:
-    """For each (p, q) of an N x N matrix in row-major order, its ``_packing`` pair (min, max); read-only."""
-    i, j, _ = _packing(n)
-    at = np.empty((n, n), dtype=np.intp)
-    at[i, j] = at[j, i] = np.arange(len(i))
-    out = at.ravel()
-    out.flags.writeable = False
-    return out
 
 
 def _leaves(vals: np.ndarray, vecs: np.ndarray, n: int) -> np.ndarray:

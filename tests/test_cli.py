@@ -127,6 +127,20 @@ def test_factorize_cdf_writes_strict_json(tmp_path, capsys):
     json.loads(record.read_text(), parse_constant=_reject_constant)
 
 
+@pytest.mark.parametrize("method", ["scdf", "cdf", "rcdf"])
+def test_factorize_one_orbital(tmp_path, capsys, method):
+    # one orbital leaves a rotation step no generators: the inner L-BFGS gets an empty start
+    dump = tmp_path / "one.fcidump"
+    assert run(capsys, "synth", str(dump), "--orbitals", "1", "--components", "1")[0] == 0
+    record = tmp_path / "f.json"
+    code, payload = run(capsys, "factorize", str(dump), "--method", method, "--output", str(record))
+    assert code == 0
+    data = json.loads(record.read_text(), parse_constant=_reject_constant)
+    assert data["n_orbitals"] == 1
+    numbers = [v for v in payload["summary"].values() if isinstance(v, float)]
+    assert numbers and np.all(np.isfinite(numbers))
+
+
 def test_non_finite_record_is_a_numerical_error(tmp_path, small_instance):
     g, _ = small_instance
     fact = hf.explicit_factorization(g, 4).with_one_body_shift(float("nan"))
@@ -622,6 +636,8 @@ _READ_INPUT_MESSAGES = {
         (["factorize", "{huge_norb}", "--method", "xdf"], 2, "read-input"),
         (["factorize", "{dump}", "--method", "scdf", "--ndf", "1000000000000000000"], 2, "factorize"),
         (["factorize", "{dump}", "--method", "cdf", "--ndf", "1000000000000000000"], 2, "factorize"),
+        # past the index range: numpy's shape check, not an overflow
+        (["factorize", "{dump}", "--method", "scdf", "--ndf", "10000000000000000000"], 2, "factorize"),
         # one-body records only: each method died on the empty eigensolve of the zero tensor
         (["factorize", "{one_body_only}", "--method", "xdf"], 2, "factorize"),
         (["factorize", "{one_body_only}", "--method", "xdf-shift"], 2, "factorize"),
@@ -653,7 +669,7 @@ _READ_INPUT_MESSAGES = {
         "eps_nan", "eps_inf", "sweep_eps_nan", "delta_alpha_nan", "delta_alpha_inf", "rho_nan", "rho_inf",
         "rho_negative", "delta_df_nan", "delta_df_negative", "max_outer_negative", "seed_negative", "synth_seed_negative", "synth_e_nuc_nan",
         "synth_coulomb_inf", "synth_nelec_negative", "huge_shifted_w_resources", "huge_core_resources",
-        "norb_unallocatable", "scdf_ndf_unallocatable", "cdf_ndf_unallocatable",
+        "norb_unallocatable", "scdf_ndf_unallocatable", "cdf_ndf_unallocatable", "scdf_ndf_past_index_range",
         "one_body_only_xdf", "one_body_only_xdf_shift", "one_body_only_scdf", "one_body_only_cdf", "one_body_only_rcdf",
         "missing_record_resources", "missing_record_verify", "not_json_resources", "not_json_verify",
         "no_fci_header", "endless_header",

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hamfactor as hf
 from hamfactor import dfopt
@@ -9,20 +10,19 @@ from hamfactor.dfopt import (
     _cayley,
     _cayley_pull_back,
     _cdf_cost_and_grad_u,
-    _expm_stack,
     _flat_to_x,
     _init_state,
     _rank1_objective,
     _rotation_step,
     _scdf_cost_and_grad_w,
     _x_to_flat,
-    generator_from_rotation,
     grad_cdf_u,
     grad_cdf_v,
     grad_scdf_u,
     grad_scdf_w,
 )
 from hamfactor.errors import OptimizationError, ValidationError
+from hamfactor.xdf import _psd_leaves, second_factorization
 
 from conftest import data_path, make_instance
 
@@ -56,6 +56,11 @@ def brute_force_cost(g, u, w, alpha, rho):
     return resid + rho * penalty
 
 
+def _expm_each(x):
+    """Per-leaf scipy expm of a stack of antisymmetric generators."""
+    return np.stack([scipy.linalg.expm(xt) for xt in x])
+
+
 def random_point(g, n_df, seed):
     n = g.n_orbitals
     rng = np.random.default_rng(seed)
@@ -63,7 +68,7 @@ def random_point(g, n_df, seed):
     for t in range(n_df):
         a = rng.standard_normal((n, n))
         x[t] = a - a.T
-    u = _expm_stack(0.3 * x)
+    u = _expm_each(0.3 * x)
     w = rng.standard_normal((n_df, n))
     alpha = rng.standard_normal(n_df)
     return u, 0.3 * x, w, alpha
@@ -226,9 +231,7 @@ def _repeated_pair_blocks(rng, n_blocks, scale):
     + [(case, scale) for case in ("even", "odd", "repeated_pairs") for scale in (0.01, 1.0, 10.0)],
 )
 def test_batched_rotations_and_pull_back_match_scipy(case, scale):
-    """The seed's batched expm, and the Cayley retraction and its pull-back, against per-leaf scipy."""
-    import scipy.linalg
-
+    """The Cayley retraction and its pull-back against per-leaf scipy solves."""
     rng = np.random.default_rng(31)
     x = {
         "zero": lambda: np.zeros((3, 4, 4)),
@@ -238,7 +241,7 @@ def test_batched_rotations_and_pull_back_match_scipy(case, scale):
     }[case]()
     grad_u = rng.standard_normal(x.shape)
 
-    u0 = _expm_stack(x)
+    u0 = _expm_each(x)
     eye = np.eye(x.shape[1])
     cay_ref, gen_ref = np.empty_like(x), np.empty_like(x)
     for t in range(x.shape[0]):
@@ -247,7 +250,6 @@ def test_batched_rotations_and_pull_back_match_scipy(case, scale):
         full = 0.5 * scipy.linalg.solve(a.T, u0[t].T @ grad_u[t] @ (eye + cay_ref[t]).T)
         gen_ref[t] = full - full.T
 
-    assert rel_err(u0, np.stack([scipy.linalg.expm(xt) for xt in x])) < 1e-12
     u, inv = _cayley(u0, x)
     assert rel_err(u, u0 @ cay_ref) < 1e-12
     assert rel_err(_cayley_pull_back(u0, inv, grad_u), gen_ref) < 1e-12
@@ -260,7 +262,7 @@ def _quadratic_pull(target):
 
 def test_rotation_step_returns_orthogonal_rotations():
     rng = np.random.default_rng(32)
-    u0 = _expm_stack(_antisymmetric_stack(rng, 4, 6, 0.5))
+    u0 = _random_rotations(rng, 4, 6)
     target = rng.standard_normal((4, 6, 6))
     u = _rotation_step(_quadratic_pull(target), u0, outer=1)
     assert np.max(np.abs(np.transpose(u, (0, 2, 1)) @ u - np.eye(6))) <= dfopt.ORTHOGONALITY_TOL
@@ -346,7 +348,7 @@ def _reference_v_step(gmat, u, rho):
 
 
 def _random_rotations(rng, t, n):
-    return _expm_stack(_antisymmetric_stack(rng, t, n, 0.5))
+    return _expm_each(_antisymmetric_stack(rng, t, n, 0.5))
 
 
 def _random_cores(rng, t, n):
@@ -371,7 +373,7 @@ def test_full_rank_kernels_match_reference_formulas(n, t, rho):
     delta = _reference_residual(gmat, u, v)
     cost_ref = 0.5 * np.sum(delta * delta) + rho * np.sum(v**2)
     assert hf.cost_cdf(g, u, v, rho, 2) == pytest.approx(cost_ref, rel=1e-12)
-    cost, grad_u = _cdf_cost_and_grad_u(gmat, u, v, rho, 2)
+    cost, grad_u = _cdf_cost_and_grad_u(g.as_packed_matrix(), u, v, rho, 2)
     assert cost == pytest.approx(cost_ref, rel=1e-12)
     assert rel_err(grad_u, _reference_grad_u(gmat, u, v)) < 1e-12
     assert rel_err(grad_cdf_u(g, u, v), _reference_grad_u(gmat, u, v)) < 1e-12
@@ -448,13 +450,26 @@ def test_cdf_stops_once_the_fit_is_exact():
 
 
 def test_cdf_first_cores_come_from_the_untouched_seed():
-    # the seed path U₀ = expm(X₀) is kept bit for bit: the first V-step sees exactly it
+    # the first V-step sees exactly the seed's U₀
     g, _, _, _ = hf.parse_fcidump(data_path("chain_n06.fcidump"))
     n_df = 4 * g.n_orbitals
     config = hf.OptimizerConfig(rho=0.0, max_outer_iters=1)
     fact, _ = hf.optimize_cdf(g, n_df, config)
     v = hf.solve_v_step(g, _init_state(g, n_df, config)[0])
     assert np.array_equal(np.stack(fact.cores), v)
+
+
+def test_xdf_seed_hands_its_rotations_over_unchanged():
+    # chain_n09 at 4N: 26 seed leaves, then 10 padding leaves at exactly I
+    g, _, _, _ = hf.parse_fcidump(data_path("chain_n09.fcidump"))
+    n = g.n_orbitals
+    n_df = 4 * n
+    base = second_factorization(_psd_leaves(g.as_matrix(), n, n_df))
+    u, w = _init_state(g, n_df, hf.OptimizerConfig())
+    assert (base.n_leaves, n_df - base.n_leaves) == (26, 10)
+    assert np.array_equal(u[: base.n_leaves], np.stack(base.rotations))
+    assert np.array_equal(w[: base.n_leaves], np.stack(base.factors))
+    assert all(np.array_equal(ut, np.eye(n)) for ut in u[base.n_leaves :])
 
 
 def test_v_step_refuses_an_oversized_design_before_allocating():
@@ -557,20 +572,6 @@ def test_cdf_fits_factorizable_instance():
     g, _ = make_instance(3, n_components=2, seed=20)
     fact, _ = hf.optimize_cdf(g, 4, hf.OptimizerConfig(rho=0.0, max_outer_iters=8))
     assert hf.frobenius_error(g, fact.reconstruct()) < 1e-6
-
-
-def test_generator_round_trip(small_instance):
-    g, _ = small_instance
-    fact = hf.explicit_factorization(g, 8)
-    for u in fact.rotations:
-        x = generator_from_rotation(u)
-        import scipy.linalg
-
-        u2 = scipy.linalg.expm(x)
-        flip = u.copy()
-        if np.linalg.det(u) < 0:
-            flip[:, -1] = -flip[:, -1]
-        assert np.max(np.abs(u2 - flip)) < 1e-8
 
 
 def test_optimize_scdf_validates_inputs(small_instance):
