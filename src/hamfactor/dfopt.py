@@ -11,28 +11,26 @@ von-Burg norm plateaus:
 4. plateau check on the two-body norm over a sliding window of outer
    iterations.
 
-Both rank-1 inner steps evaluate one kernel, ``_rank1_objective``: it forms
-the residual Δ = g − Σ_t M^t ⊗ M^t (M^t = U^t diag(W^t) U^t^T) once, on the
-M = N(N+1)/2 pairs p ≤ q of ``tensors._packing`` against g's packed matrix,
-and returns the cost and Y·U, from which the W- and the U-space gradient both
-follow; no step builds a T x M x N design. For 8-fold symmetric g this is the
-N² x N² cost; a g asymmetric within ``SYMMETRY_TOL`` moves it by terms of that
-order.
+The full-rank variant keeps symmetric cores V^t: its V-step is an exact
+least-squares solve (ridge for a quadratic penalty, subgradient L-BFGS for an
+L1 one), and its U-step is the same ``_rotation_step``.
 
-The unconstrained variant keeps full symmetric cores V^t: its V-step is an
-exact linear least-squares solve (ridge-regularized for a quadratic penalty,
-subgradient L-BFGS for an L1 penalty), the U-step is the same rotation step
-(one ``_rotation_step`` serves both optimizers). The exact solves run
-in symmetry-reduced coordinates (packed symmetric cores against packed
-8-fold symmetric tensors): an isometric restriction of the N⁴ x T·N²
-Kronecker design with the same solution and 1/10 (N = 7) to 1/16 (large N)
-of its entries. Both factor the smaller Gram matrix of that design once by
-Cholesky and refine the answer once (``_gram_solve``); the SVD least squares
-runs only where that factor cannot be trusted. Each full-rank objective
-evaluation forms the residual Δ = g − Σ_t C^t V^t C^t^T once on the same
-packed pairs, as one GEMM over the stacked M x N design blocks C^t, and reads
-the cost and either gradient from it with batched matmuls. The N² x N² form
-is left only in the seed's eigendecomposition.
+Every objective runs on the M = N(N+1)/2 pairs p ≤ q of ``tensors._packing``
+against g's packed M x M matrix, through one kernel per core type that forms
+the residual Δ once: ``_rank1_objective`` (leaf matrices U diag(W) U^T of
+``factorization._leaf_matrices``) returns ½‖Δ‖² and Y·U, and ``_cdf_objective``
+(one GEMM over the stacked M x N design blocks C^t) returns the cost and
+Y^t = Δ C^t, from which ``_grad_v`` and ``_grad_u`` follow. The rank-1 penalty
+acts on the encoded cores W⊗W − α·1⊗1 of ``norms._rank1_cores``. For 8-fold
+symmetric g the packed cost is the N² x N² one; a g asymmetric within
+``SYMMETRY_TOL`` moves it by terms of that order. Only the seed's
+eigendecomposition keeps the N² x N² form.
+
+The exact V-steps run in symmetry-reduced coordinates: the solution of the
+N⁴ x T·N² Kronecker least squares from 1/10 (N = 7) to 1/16 (large N) of its
+entries. They factor the smaller Gram matrix once by Cholesky and refine once
+(``_gram_solve``); the SVD least squares runs only where that factor cannot
+be trusted.
 
 All gradients are analytic. The rotation step is the curvilinear search of
 Wen & Yin (Math. Program., 2013); on retractions see Absil, Mahony &
@@ -56,10 +54,10 @@ from scipy.linalg.lapack import dpocon
 from scipy.optimize import minimize
 
 from .errors import OptimizationError, ValidationError
-from .factorization import DoubleFactorization, FullRankFactorization, Thresholds
-from .norms import two_body_burg_norm
+from .factorization import DoubleFactorization, FullRankFactorization, Thresholds, _leaf_matrices
+from .norms import _rank1_cores, two_body_burg_norm
 from .shift import apply_alpha_threshold
-from .tensors import TwoElectronTensor, _packing, _unpacking
+from .tensors import TwoElectronTensor, _packing, _unpack_pairs
 from .xdf import _psd_leaves, second_factorization, truncate_factors
 
 logger = logging.getLogger(__name__)
@@ -121,10 +119,6 @@ def _penalty(v: np.ndarray, rho: float, gamma: int) -> float:
     return rho * float(np.sum(np.abs(v) ** gamma)) if rho else 0.0
 
 
-def _excess(w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    return w[:, :, None] * w[:, None, :] - alpha[:, None, None]
-
-
 def _rank1_objective(gp: np.ndarray, u: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
     """(½‖Δ‖², Y^t U^t) for the packed residual Δ = g − Σ_t vec^t vec^t^T; U need not be orthogonal.
 
@@ -134,11 +128,9 @@ def _rank1_objective(gp: np.ndarray, u: np.ndarray, w: np.ndarray) -> tuple[floa
     """
     t, n, _ = u.shape
     i, j, wp = _packing(n)
-    vec = ((u * w[:, None, :]) @ u.transpose(0, 2, 1)).reshape(t, -1)[:, i * n + j] * wp
+    vec = _leaf_matrices(u, w).reshape(t, -1)[:, i * n + j] * wp
     delta = gp - vec.T @ vec
-    y = vec @ delta
-    y /= wp
-    return 0.5 * float(np.vdot(delta, delta)), y[:, _unpacking(n)].reshape(t, n, n) @ u
+    return 0.5 * float(np.vdot(delta, delta)), _unpack_pairs(vec @ delta, n, 1).reshape(t, n, n) @ u
 
 
 def _scdf_cost_and_grad_w(
@@ -149,7 +141,7 @@ def _scdf_cost_and_grad_w(
     grad = -2.0 * np.einsum("tpk,tpk->tk", yu, u)
     if not rho:
         return residual, residual, grad
-    excess = _excess(w, alpha)
+    excess = _rank1_cores(w, np.ones(len(w)), alpha)
     sign = np.sign(excess)
     grad += 2.0 * rho * np.einsum("tkl,tl->tk", sign, w)
     # Σ|e| as sign(e)·e: each product is exact
@@ -181,32 +173,23 @@ def _design_blocks(u: np.ndarray) -> np.ndarray:
     return u[:, i, :] * u[:, j, :] * w[:, None]
 
 
-def _side_by_side(blocks: np.ndarray) -> np.ndarray:
-    """Stack (T, M, N) leaf blocks column-wise into one M x T·N matrix."""
-    t, m, n = blocks.shape
-    return blocks.transpose(1, 0, 2).reshape(m, t * n)
-
-
-def _cdf_residual(gmat: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Δ = g − Σ_t C^t V^t C^t^T as one GEMM over the stacked design blocks."""
-    return gmat - _side_by_side(c @ v) @ _side_by_side(c).T
-
-
 def _cdf_objective(
     gmat: np.ndarray, c: np.ndarray, v: np.ndarray, rho: float, gamma: int
 ) -> tuple[float, float, np.ndarray]:
-    """(cost, residual cost, Y) from one packed residual Δ, with Y^t = Δ C^t per leaf.
+    """(cost, residual cost, Y) from one packed residual Δ = g − Σ_t C^t V^t C^t^T, with Y^t = Δ C^t per leaf.
 
-    ``gmat`` is g's packed matrix. Every row and column of Δ is symmetric in
-    its pair, so the packing is an isometry on both and the cost is the
-    N² x N² one. Both gradients follow from Y by batched matmuls:
-    ∂/∂V^t = −C^t^T Y^t (``_grad_v``) and ∂/∂U^t = −4 Σ_q [Y^t V^t^T]_(pq)k U^t_qk
-    (``_grad_u``, which unpacks Y^t V^t^T to N² rows).
+    ``gmat`` is g's packed matrix and ``c`` the ``_design_blocks``. Δ is one
+    GEMM over the blocks stacked side by side, M x T·N. Every row and column
+    of Δ is symmetric in its pair, so the packing is an isometry on both and
+    the cost is the N² x N² one. Both gradients follow from Y by batched
+    matmuls: ∂/∂V^t = −C^t^T Y^t (``_grad_v``) and
+    ∂/∂U^t = −4 Σ_q [Y^t V^t^T]_(pq)k U^t_qk (``_grad_u``).
     """
     t, m, n = c.shape
-    delta = _cdf_residual(gmat, c, v)
+    stacked = c.transpose(1, 0, 2).reshape(m, t * n)
+    delta = gmat - (c @ v).transpose(1, 0, 2).reshape(m, t * n) @ stacked.T
     residual = 0.5 * float(np.sum(delta * delta))
-    y = (delta @ _side_by_side(c)).reshape(m, t, n).transpose(1, 0, 2)
+    y = (delta @ stacked).reshape(m, t, n).transpose(1, 0, 2)
     return residual + _penalty(v, rho, gamma), residual, y
 
 
@@ -216,18 +199,8 @@ def _grad_v(c: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _grad_u(u: np.ndarray, v: np.ndarray, y: np.ndarray) -> np.ndarray:
     t, n, _ = u.shape
-    z = y @ v.transpose(0, 2, 1)
-    z /= _packing(n)[2][:, None]
-    z = z[:, _unpacking(n)].reshape(t, n, n, n)
+    z = _unpack_pairs(y @ v.transpose(0, 2, 1), n, 1).reshape(t, n, n, n)
     return -4.0 * np.einsum("tpqk,tqk->tpk", z, u)
-
-
-def _cdf_cost_and_grad_u(
-    gmat: np.ndarray, u: np.ndarray, v: np.ndarray, rho: float, gamma: int
-) -> tuple[float, np.ndarray]:
-    """Full-rank cost and its U-space gradient (the penalty is U-free)."""
-    cost, _, y = _cdf_objective(gmat, _design_blocks(u), v, rho, gamma)
-    return cost, _grad_u(u, v, y)
 
 
 def cost_cdf(
@@ -238,8 +211,7 @@ def cost_cdf(
     gamma: int = 1,
 ) -> float:
     """Full-rank cost ½‖g − Σ_t C^t V^t C^t^T‖²_F + ρ Σ |V^t_kl|^γ."""
-    delta = _cdf_residual(g.as_packed_matrix(), _design_blocks(u), v)
-    return 0.5 * float(np.sum(delta * delta)) + _penalty(v, rho, gamma)
+    return _cdf_objective(g.as_packed_matrix(), _design_blocks(u), v, rho, gamma)[0]
 
 
 def grad_cdf_v(g: TwoElectronTensor, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -250,7 +222,7 @@ def grad_cdf_v(g: TwoElectronTensor, u: np.ndarray, v: np.ndarray) -> np.ndarray
 
 def grad_cdf_u(g: TwoElectronTensor, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """∂(residual cost)/∂U^t_pk = −4 Σ_qrsl Δ_pqrs U_qk V_kl U_rl U_sl."""
-    return _cdf_cost_and_grad_u(g.as_packed_matrix(), u, v, 0.0, 1)[1]
+    return _grad_u(u, v, _cdf_objective(g.as_packed_matrix(), _design_blocks(u), v, 0.0, 1)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +310,7 @@ def _median_alpha(w: np.ndarray) -> np.ndarray:
     The median minimizes Σ_kl |W_k W_l − α| over scalar α, so this is the
     exact solution of the penalty-only subproblem.
     """
-    return np.median(_excess(w, np.zeros(len(w))).reshape(len(w), -1), axis=1)
+    return np.median(_rank1_cores(w, np.ones(len(w)), np.zeros(len(w))).reshape(len(w), -1), axis=1)
 
 
 def _scdf_record(
@@ -445,7 +417,7 @@ def optimize_scdf(
     for outer in range(1, config.max_outer_iters + 1):
         w = _lbfgs(w_objective, w.ravel()).reshape(n_df, -1)
         alpha = _median_alpha(w)
-        penalty = _penalty(_excess(w, alpha), rho, 1)
+        penalty = _penalty(_rank1_cores(w, np.ones(n_df), alpha), rho, 1)
         u = _rotation_step(cost_and_grad_u, u, outer)
 
         cost, residual_cost, grad_w = _scdf_cost_and_grad_w(gp, u, w, alpha, rho)
@@ -610,11 +582,7 @@ def solve_v_step(
             a = np.vstack([a, np.sqrt(2.0 * rho) * np.eye(a.shape[1])])
         rcond = np.finfo(float).eps * max(n**4, t * n * n)
         sol, *_ = np.linalg.lstsq(a, y, rcond=rcond)
-    k, l, w_core = _packing(n)
-    v = np.zeros((t, n, n))
-    v[:, k, l] = sol.reshape(t, -1) / w_core
-    v[:, l, k] = v[:, k, l]
-    return v
+    return _unpack_pairs(sol.reshape(t, -1), n, 1).reshape(t, n, n)
 
 
 def optimize_cdf(
@@ -636,11 +604,15 @@ def optimize_cdf(
     u, w = _init_state(g, n_df, config)
     v = np.stack([np.outer(wt, wt) for wt in w])
 
+    def cost_and_grad_u(umat: np.ndarray):
+        cost, _, y = _cdf_objective(gmat, _design_blocks(umat), v, rho, gamma)
+        return cost, _grad_u(umat, v, y)
+
     trace: list[TraceRow] = []
     prev_cost = np.inf
     for outer in range(1, config.max_outer_iters + 1):
         v = solve_v_step(g, u, rho, gamma, v)
-        u = _rotation_step(lambda um: _cdf_cost_and_grad_u(gmat, um, v, rho, gamma), u, outer)
+        u = _rotation_step(cost_and_grad_u, u, outer)
         c = _design_blocks(u)
         cost, residual, y = _cdf_objective(gmat, c, v, rho, gamma)
         _check_finite(cost, outer)

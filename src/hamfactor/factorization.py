@@ -20,9 +20,11 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .tensors import TwoElectronTensor, _slices
+from .tensors import TwoElectronTensor, _add_to_pp_rr, _slices
 
 METHOD_TAGS = ("XDF", "CDF", "RCDF", "SCDF")
+FULL_RANK_TAGS = ("CDF", "RCDF")
+RECORD_KINDS = ("rank1", "full_rank")
 
 
 def _leaf_matrices(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -115,11 +117,19 @@ def reconstruct_tensor(fact: DoubleFactorization | FullRankFactorization) -> Two
 
     Inverts the factorization conventions: the leaf sum approximates the
     pre-shifted tensor, so the global a2_prime * δ_pq δ_rs is added back;
-    per-leaf encoding shifts never enter the reconstruction.
+    per-leaf encoding shifts never enter the reconstruction. Full-rank leaves
+    add C^t V^t C^tᵀ (C^t = U^t ⊙ U^t) to g's N² x N² form by row blocks of ``_slices``.
     """
-    if isinstance(fact, FullRankFactorization):
-        return fact.reconstruct()
     n = fact.n_orbitals
+    if isinstance(fact, FullRankFactorization):
+        g = np.zeros((n, n, n, n))
+        rows = g.reshape(n * n, n * n)
+        for u, v in zip(fact.rotations, fact.cores):
+            c = np.einsum("pk,qk->pqk", u, u).reshape(n * n, n)
+            cv = c @ v
+            for p in _slices(n):
+                rows[p.start * n : p.stop * n] += cv[p.start * n : p.stop * n] @ c.T
+        return TwoElectronTensor(g)
     if fact.n_leaves:
         m = fact.leaf_matrices()
         signs = np.asarray(fact.signs, dtype=float)
@@ -128,8 +138,7 @@ def reconstruct_tensor(fact: DoubleFactorization | FullRankFactorization) -> Two
     else:
         g = np.zeros((n, n, n, n))
     if fact.a2_prime != 0.0:
-        pp = np.arange(n) * (n + 1)  # the pairs (p, p) of the N² x N² matrix form
-        g.reshape(n * n, n * n)[np.ix_(pp, pp)] += fact.a2_prime
+        _add_to_pp_rr(g, fact.a2_prime)
     return TwoElectronTensor(g)
 
 
@@ -145,6 +154,8 @@ class FullRankFactorization:
     a1_prime: float = 0.0
 
     def __post_init__(self):
+        if self.method_tag not in FULL_RANK_TAGS:
+            raise ValidationError(f"a full-rank method_tag must be one of {FULL_RANK_TAGS}, got {self.method_tag!r}")
         n = self.n_orbitals
         if len(self.rotations) != len(self.cores):
             raise ValidationError("per-leaf field lengths disagree")
@@ -156,17 +167,9 @@ class FullRankFactorization:
     def n_leaves(self) -> int:
         return len(self.rotations)
 
+    # unused in src/ but stays: perfbench/tracer.py wraps it here by name
     def reconstruct(self) -> TwoElectronTensor:
-        """Σ_t C^t V^t C^tᵀ on g's N² x N² form, C^t = U^t ⊙ U^t, added in the row blocks of ``_slices``."""
-        n = self.n_orbitals
-        g = np.zeros((n, n, n, n))
-        rows = g.reshape(n * n, n * n)
-        for u, v in zip(self.rotations, self.cores):
-            c = np.einsum("pk,qk->pqk", u, u).reshape(n * n, n)
-            cv = c @ v
-            for p in _slices(n):
-                rows[p.start * n : p.stop * n] += cv[p.start * n : p.stop * n] @ c.T
-        return TwoElectronTensor(g)
+        return reconstruct_tensor(self)
 
 
 def factorization_to_dict(
@@ -228,6 +231,8 @@ def factorization_from_dict(data: dict) -> DoubleFactorization | FullRankFactori
         fields = ("delta_df", "delta_alpha", "rho")
         thresholds = Thresholds(**{k: float(finite_array(thr.get(k, 0.0), k)) for k in fields})
         kind = data.get("kind", "full_rank" if leaves and "V" in leaves[0] else "rank1")
+        if kind not in RECORD_KINDS:
+            raise ValidationError(f"record kind must be one of {RECORD_KINDS}, got {kind!r}")
         common = dict(
             n_orbitals=_exact_int(data["n_orbitals"], "n_orbitals"),
             method_tag=str(data["method"]),

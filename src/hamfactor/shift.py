@@ -32,7 +32,7 @@ from scipy.optimize import minimize_scalar
 from . import norms
 from .errors import InvalidShiftSplit, NumericalError, ValidationError
 from .factorization import DoubleFactorization
-from .tensors import TwoElectronTensor, _checked_eigh, _freeze, _packing
+from .tensors import TwoElectronTensor, _add_to_pp_rr, _checked_eigh, _freeze, _packing
 from .xdf import EIG_CLAMP_TOL, _check_n_df, _leading_pairs, _signed_leaves, second_factorization
 
 SHIFT_SCAN_POINTS = 17
@@ -137,10 +137,12 @@ def apply_alpha_threshold(fact: DoubleFactorization, delta_alpha: float) -> Doub
 
 
 def shifted_tensor(g: TwoElectronTensor, a2_prime: float) -> TwoElectronTensor:
-    """g − a2′ δ_pq δ_rs."""
-    n = g.n_orbitals
-    eye = np.eye(n)
-    return TwoElectronTensor(g.g - a2_prime * np.einsum("pq,rs->pqrs", eye, eye))
+    """g − a2′ δ_pq δ_rs on a copy of g; g itself, which is immutable, at a2′ = 0."""
+    if a2_prime == 0.0:
+        return g
+    out = np.array(g.g)
+    _add_to_pp_rr(out, -a2_prime)
+    return TwoElectronTensor(out)
 
 
 def _shift_basis(gp: np.ndarray, d: np.ndarray) -> np.ndarray:

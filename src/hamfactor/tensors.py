@@ -79,6 +79,21 @@ def _unpacking(n: int) -> np.ndarray:
     return out
 
 
+def _unpack_pairs(packed: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """Packed pairs along a non-negative ``axis`` back to the N² entries (p, q), row-major, each divided by its weight."""
+    at = _unpacking(n)
+    out = np.take(packed, at, axis=axis)
+    out /= _packing(n)[2][at].reshape((-1,) + (1,) * (out.ndim - axis - 1))
+    return out
+
+
+def _add_to_pp_rr(g: np.ndarray, value: float) -> None:
+    """g += value·δ_pq δ_rs in place on a C-contiguous N⁴ array: only the (pp|rr) entries change."""
+    n = len(g)
+    pp = np.arange(n) * (n + 1)  # the pairs (p, p) of the N² x N² matrix form
+    g.reshape(n * n, n * n)[np.ix_(pp, pp)] += value
+
+
 def _slices(n: int) -> list[slice]:
     """Slices p:p + step of an N⁴ tensor's first index: at most _SYMMETRY_BLOCK entries each, or one p.
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NonPSDTensor, NumericalError, ValidationError
 from .factorization import DoubleFactorization, Thresholds
-from .tensors import TwoElectronTensor, _checked_eigh, _packing, _unpacking
+from .tensors import TwoElectronTensor, _checked_eigh, _unpack_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -83,7 +83,7 @@ def _leading_pairs(vals: np.ndarray, vecs: np.ndarray, n: int, n_df: int) -> tup
     """
     _check_n_df(n, n_df)
     if vecs.shape[0] < n * n:
-        vecs = (vecs / _packing(n)[2][:, None])[_unpacking(n)]
+        vecs = _unpack_pairs(vecs, n, 0)
     vals, vecs = _order_by_magnitude(vals, vecs)
     pad = n_df - len(vals)
     if pad > 0:

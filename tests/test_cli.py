@@ -223,7 +223,7 @@ def _corrupt(data: dict, case: str) -> dict:
         leaf["sign"] = 5
     else:
         # a full-rank record of the same leaves, cores V = sign * W ⊗ W
-        data["kind"] = "full_rank"
+        data.update(kind="full_rank", method="CDF")
         for each in data["leaves"]:
             w = np.asarray(each.pop("W"))
             each["V"] = (each["sign"] * np.outer(w, w)).tolist()
@@ -534,11 +534,24 @@ def _huge_shifted_w(data):
     data["leaves"][0].update(W=[1e200] * 4, alpha=1.0)
 
 
-def _huge_core(data):
-    data.update(kind="full_rank", method="CDF")
+def _as_full_rank(data, method="CDF"):
+    data.update(kind="full_rank", method=method)
     for leaf in data["leaves"]:
         leaf["V"] = np.diag(leaf["W"]).tolist()
+
+
+def _huge_core(data):
+    _as_full_rank(data)
     data["leaves"][0]["V"] = [[1e308] * 4] * 4
+
+
+def _zero_norm(data):
+    # every f° − a1′ is zero and ¼(Σ_k |W_k|)² underflows to zero, yet each W is a direction
+    for leaf in data["leaves"]:
+        leaf["W"] = [1e-170] * len(leaf["W"])
+    data["thresholds"]["delta_df"] = 0.0
+    data["one_body_eigs"] = [0.5] * len(data["one_body_eigs"])
+    data["a1_prime"] = 0.5
 
 
 # the record field or CLI flag an invalid numeric flag's message names
@@ -571,11 +584,15 @@ _FLAG_VALUE_MESSAGES = {
 
 
 # inputs whose refusal message the failure table pins, by path placeholder
-_READ_INPUT_MESSAGES = {
+_INPUT_MESSAGES = {
     "missing_record": "cannot read factorization file",
     "not_json": "is not valid JSON",
     "no_fci": "expected '&FCI' namelist header",
     "endless_header": "namelist header never terminated",
+    "banana_kind": "record kind must be one of ('rank1', 'full_rank'), got 'banana'",
+    "full_rank_banana_tag": "full-rank method_tag must be one of ('CDF', 'RCDF'), got 'banana'",
+    "full_rank_scdf_tag": "full-rank method_tag must be one of ('CDF', 'RCDF'), got 'SCDF'",
+    "zero_norm": "encoded norm is zero; nothing to estimate",
 }
 
 
@@ -644,13 +661,19 @@ _READ_INPUT_MESSAGES = {
         (["factorize", "{one_body_only}", "--method", "scdf"], 2, "factorize"),
         (["factorize", "{one_body_only}", "--method", "cdf"], 2, "factorize"),
         (["factorize", "{one_body_only}", "--method", "rcdf"], 2, "factorize"),
-        # unreadable inputs, refused before any work (see _READ_INPUT_MESSAGES)
+        # unreadable inputs, refused before any work (see _INPUT_MESSAGES)
         (["resources", "{missing_record}"], 2, "read-input"),
         (["verify", "{missing_record}", "{dump}"], 2, "read-input"),
         (["resources", "{not_json}"], 2, "read-input"),
         (["verify", "{not_json}", "{dump}"], 2, "read-input"),
         (["factorize", "{no_fci}", "--method", "xdf"], 2, "read-input"),
         (["factorize", "{endless_header}", "--method", "xdf"], 2, "read-input"),
+        # record kinds and full-rank method tags other than the loader's own
+        (["resources", "{banana_kind}"], 2, "read-input"),
+        (["resources", "{full_rank_banana_tag}"], 2, "read-input"),
+        (["resources", "{full_rank_scdf_tag}"], 2, "read-input"),
+        # every norm term underflows or cancels to zero
+        (["resources", "{zero_norm}"], 2, "resources"),
         # a δ_DF past every |W|, and leaf counts below one (see _FLAG_VALUE_MESSAGES)
         (["factorize", "{dump}", "--method", "scdf", "--delta-df", "1e3", "--max-outer", "1"], 2, "factorize"),
         (["factorize", "{dump}", "--method", "xdf", "--delta-df", "1e3"], 2, "factorize"),
@@ -673,6 +696,7 @@ _READ_INPUT_MESSAGES = {
         "one_body_only_xdf", "one_body_only_xdf_shift", "one_body_only_scdf", "one_body_only_cdf", "one_body_only_rcdf",
         "missing_record_resources", "missing_record_verify", "not_json_resources", "not_json_verify",
         "no_fci_header", "endless_header",
+        "unknown_record_kind", "full_rank_banana_tag", "full_rank_scdf_tag", "encoded_norm_zero",
         "scdf_delta_df_truncates_all", "xdf_delta_df_truncates_all", "ndf_0", "ndf_0N", "ndf_negative",
     ],
 )
@@ -685,6 +709,7 @@ def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_re
         "binary", "header_bad_bytes", "late_bad_bytes", "huge_w", "huge_alpha", "f_overflow", "eigs_overflow",
         "first_eigh_fails", "second_eigh_fails", "one_body_eigh_fails", "huge_g", "huge_shifted_w", "huge_core",
         "huge_norb", "one_body_only", "not_json", "no_fci", "endless_header",
+        "banana_kind", "full_rank_banana_tag", "full_rank_scdf_tag", "zero_norm",
     )})
     paths["binary"].write_bytes(b"\xff\xfe garbage\n")
     paths["header_bad_bytes"].write_bytes(b" &FCI NORB=2,NELEC=2,\xff\n MS2=0,\n &END\n 0.5 1 1 1 1\n")
@@ -699,6 +724,10 @@ def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_re
     _write_record(record, paths["huge_alpha"], _huge_alpha)
     _write_record(record, paths["huge_shifted_w"], _huge_shifted_w)
     _write_record(record, paths["huge_core"], _huge_core)
+    _write_record(record, paths["banana_kind"], lambda data: data.update(kind="banana"))
+    _write_record(record, paths["full_rank_banana_tag"], lambda data: _as_full_rank(data, "banana"))
+    _write_record(record, paths["full_rank_scdf_tag"], lambda data: _as_full_rank(data, "SCDF"))
+    _write_record(record, paths["zero_norm"], _zero_norm)
     _write_integrals(dump, paths["f_overflow"], {"4 4 3 1": "1e308"})
     _write_integrals(dump, paths["eigs_overflow"], {"2 1 2 1": "1e308"})
     _write_integrals(dump, paths["first_eigh_fails"], {"2 1 1 1": "1e200"}, norb=5)
@@ -721,7 +750,7 @@ def test_failure_exits_with_one_stage_label(tmp_path, capsys, xdf_record, n11_re
         assert "n_df = 1000000000000000000" in err
     if "{one_body_only}" in argv:
         assert "nothing to factorize" in err
-    for name, message in _READ_INPUT_MESSAGES.items():
+    for name, message in _INPUT_MESSAGES.items():
         if "{" + name + "}" in argv:
             assert message in err.splitlines()[-1]
     for flag, value in zip(argv, argv[1:]):
@@ -802,15 +831,25 @@ def _apply_fcidump_edit(lines, edit):
     lines[where] = " ".join(parts)
 
 
+# the record fields each fuzzed record kind edits; a field listed twice is drawn twice as often
+_FUZZED_FIELDS = {
+    "xdf": ["W", "U", "alpha", "sign", "xi", "n_orbitals", "method"],
+    "cdf": ["V", "V", "U", "kind", "method"],
+    "scdf": ["alpha", "alpha", "sign", "sign", "kind", "method"],
+}
+
+
 @st.composite
-def _record_edit(draw, n_leaves):
-    field = draw(st.sampled_from(["W", "U", "alpha", "sign", "xi", "n_orbitals", "method"]))
+def _record_edit(draw, n_leaves, fields=_FUZZED_FIELDS["xdf"]):
+    field = draw(st.sampled_from(fields))
     if field == "n_orbitals":
         return field, None, draw(st.one_of(st.integers(-1, 8), _JSON_VALUES))
     if field == "method":
         return field, None, draw(st.one_of(st.sampled_from(["XDF", "SCDF", "CDF", "RCDF", "xdf"]), _JSON_VALUES))
+    if field == "kind":
+        return field, None, draw(st.one_of(st.sampled_from(["rank1", "full_rank", "banana"]), _JSON_VALUES))
     leaf = draw(st.integers(0, n_leaves - 1))
-    if field in ("W", "U") and draw(st.booleans()):
+    if field in ("W", "U", "V") and draw(st.booleans()):
         return field, (leaf, draw(st.integers(0, 3)), draw(st.integers(0, 3))), draw(_NUMBERS)
     return field, (leaf,), draw(_JSON_VALUES)
 
@@ -824,7 +863,7 @@ def _apply_record_edit(data, edit):
     elif field == "W":
         data["leaves"][where[0]]["W"][where[1]] = value
     else:
-        data["leaves"][where[0]]["U"][where[1]][where[2]] = value
+        data["leaves"][where[0]][field][where[1]][where[2]] = value
 
 
 def _run_main(argv):
@@ -865,18 +904,53 @@ def test_fuzzed_inputs_exit_cleanly(xdf_record, data):
                 record, bad_record,
                 lambda rec: _apply_record_edit(rec, data.draw(_record_edit(len(leaves)))),
             )
-            commands = [
-                ["resources", str(bad_record)],
-                ["verify", str(bad_record), str(dump)],
-                ["verify", str(bad_record), str(dump), "--fci"],
-            ]
+            commands = _record_commands(bad_record, dump)
         argv = data.draw(st.sampled_from(commands), label="command")
-        code, out, err = _run_main(argv)
+        _assert_clean_exit(*_run_main(argv))
+
+
+def _record_commands(record, dump):
+    return [
+        ["resources", str(record)],
+        ["verify", str(record), str(dump)],
+        ["verify", str(record), str(dump), "--fci"],
+    ]
+
+
+def _assert_clean_exit(code, out, err):
     assert code in (0, 2, 3)
     if code == 0:
         json.loads(out, parse_constant=_reject_constant)
     else:
         assert_one_stage_label(code, err)
+
+
+@pytest.fixture(scope="module")
+def optimizer_records(xdf_record):
+    """cdf and scdf records of the ``xdf_record`` instance, one outer iteration each, by method."""
+    dump, _ = xdf_record
+    records = {}
+    for method in ("cdf", "scdf"):
+        records[method] = dump.with_name(f"{dump.name}.{method}.json")
+        argv = ["factorize", str(dump), "--method", method, "--max-outer", "1", "--output", str(records[method])]
+        assert _run_main(argv)[0] == 0
+    return records
+
+
+@no_runtime_warnings
+@pytest.mark.parametrize("method", ["cdf", "scdf"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_optimizer_records_exit_cleanly(xdf_record, optimizer_records, method, data):
+    # V of a cdf record, α and signs of an scdf one, and the kind and method tag of both
+    dump, record = xdf_record[0], optimizer_records[method]
+    n_leaves = len(json.loads(record.read_text())["leaves"])
+    edit = data.draw(_record_edit(n_leaves, _FUZZED_FIELDS[method]), label="edit")
+    with tempfile.TemporaryDirectory() as tmp:
+        bad_record = Path(tmp) / "fuzz.json"
+        _write_record(record, bad_record, lambda rec: _apply_record_edit(rec, edit))
+        argv = data.draw(st.sampled_from(_record_commands(bad_record, dump)), label="command")
+        _assert_clean_exit(*_run_main(argv))
 
 
 @pytest.mark.parametrize("preset, expected", [({}, "1"), ({"OMP_NUM_THREADS": "2"}, "None")])
